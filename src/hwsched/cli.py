@@ -8,6 +8,7 @@ commands exit 1 when their tolerance is violated; bad input exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
@@ -55,21 +56,29 @@ def _floats(text, n=None, name="value"):
     return np.array(vals)
 
 
+def _static_edge(spec, model):
+    """Class and station indices of a ``static:i,j`` spec."""
+    try:
+        i, j = (int(tok) for tok in spec[7:].split(","))
+    except ValueError as exc:
+        raise CliError(f"bad static spec: {spec!r}") from exc
+    if not (0 <= i < model.classes and 0 <= j < model.stations):
+        raise CliError(f"static indices out of range: {spec!r}")
+    return i, j
+
+
 def _parse_policy(spec, model, horizon, seed):
     """Policy spec: ``uniform``, ``static:i,j``, ``switch:PERIOD``, or a
     policy-field file path."""
     if spec in (None, "uniform"):
         return sde.FixedControl(model_mod.ControlPoint.uniform(model.classes, model.stations))
     if spec.startswith("static:"):
-        try:
-            i, j = (int(tok) for tok in spec[7:].split(","))
-        except ValueError as exc:
-            raise CliError(f"bad static policy spec: {spec!r}") from exc
-        if not (0 <= i < model.classes and 0 <= j < model.stations):
-            raise CliError(f"static policy indices out of range: {spec!r}")
-        return sde.StaticPriority.for_model(model, i, j)
+        return sde.StaticPriority.for_model(model, *_static_edge(spec, model))
     if spec.startswith("switch:"):
-        return sde.SwitchingControl(model, float(spec[7:]), horizon, seed=seed)
+        period = _floats(spec[7:], 1, "switch period")[0]
+        if not 0.0 < period < np.inf:
+            raise CliError(f"switch period must be positive and finite: {spec!r}")
+        return sde.SwitchingControl(model, period, horizon, seed=seed)
     path = Path(spec)
     if not path.exists():
         raise CliError(f"policy file not found: {spec}")
@@ -163,6 +172,7 @@ def cmd_solve_hjb(args, out):
         "interior_residual": sol.report.interior_residual,
         "boundary": sol.report.boundary,
         "grid": grid.to_dict(),
+        "history": [dataclasses.asdict(step) for step in sol.report.history],
     })
     print(f"converged={sol.report.converged} interior_residual={sol.report.interior_residual:.3e}")
     return sol.report.converged
@@ -208,7 +218,7 @@ def cmd_det_run(args, out):
         point = model_mod.ControlPoint.uniform(model.classes, model.stations)
         controls = detsys.ControlPath.constant(point, n + 1, args.dt)
     elif args.policy.startswith("static:"):
-        i, j = (int(tok) for tok in args.policy[7:].split(","))
+        i, j = _static_edge(args.policy, model)
         point = model_mod.ControlPoint.vertex(i, j, model.classes, model.stations)
         controls = detsys.ControlPath.constant(point, n + 1, args.dt)
     elif args.policy == "random":
@@ -291,8 +301,7 @@ def cmd_integral_residual(args, out):
 def _prelimit_samples(args, model):
     scaling = ctmc.ScalingSpec.centered(model, args.n)
     if args.rule.startswith("static:"):
-        i, j = (int(tok) for tok in args.rule[7:].split(","))
-        rule = ctmc.GreedyPriority(model, scaling, i, j)
+        rule = ctmc.GreedyPriority(model, scaling, *_static_edge(args.rule, model))
     elif args.rule == "track":
         point = model_mod.ControlPoint.uniform(model.classes, model.stations)
         rule = ctmc.ImbalanceTracking(model, scaling, point)
@@ -332,8 +341,7 @@ def cmd_compare(args, out):
     x0_real = ctmc.initial_headcounts(model, scaling, x0)[1]
     policy = sde.FixedControl(model_mod.ControlPoint.uniform(model.classes, model.stations))
     if args.rule.startswith("static:"):
-        i, j = (int(tok) for tok in args.rule[7:].split(","))
-        policy = sde.StaticPriority.for_model(model, i, j)
+        policy = sde.StaticPriority.for_model(model, *_static_edge(args.rule, model))
     idx = [int(round(t / args.dt)) for t in times]
     sizes = sde._chunk_sizes(args.paths, sde.CHUNK)
     diff = np.empty((args.paths, len(times), model.classes))

@@ -17,6 +17,7 @@ extrapolation.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from . import sde
-from .flows import drift_batch
+from .flows import _drift_maps, drift_batch
 from .model import ControlPoint, RunningCostSpec, TreeModel, model_hash
 from .sde import StaticPriority, default_priority_edge
 
@@ -197,20 +198,9 @@ def hamiltonian_field(model: TreeModel, cost: RunningCostSpec, X: np.ndarray, P:
         neg = np.maximum(-s, 0.0)
         # split the objective: affine part from the drift, separable convex
         # part from the cost; each simplex minimizes independently.
-        lin_u = np.empty((N, model.classes))
-        base_v = np.tile(np.eye(J)[0], (N, 1))
-        b0 = drift_batch(model, X, np.zeros((N, model.classes)), base_v)
-        for i in range(model.classes):
-            E = np.zeros((N, model.classes))
-            E[:, i] = 1.0
-            lin_u[:, i] = ((drift_batch(model, X, E, base_v) - b0) * P).sum(axis=1)
-        lin_v = np.empty((N, J))
-        base_u = np.tile(np.eye(model.classes)[0], (N, 1))
-        b0v = drift_batch(model, X, base_u, np.zeros((N, J)))
-        for j in range(J):
-            E = np.zeros((N, J))
-            E[:, j] = 1.0
-            lin_v[:, j] = ((drift_batch(model, X, base_u, E) - b0v) * P).sum(axis=1)
+        RxT, _, RbT = _drift_maps(model)
+        lin_u = pos[:, None] * (P @ RxT.T - model.theta * P)
+        lin_v = neg[:, None] * (P @ RbT.T)
         curve_u = cost.c * pos[:, None] ** cost.p
         curve_v = cost.d * neg[:, None] ** cost.q
         U2 = _descend_simplex(lin_u, curve_u, cost.p, U)
@@ -233,6 +223,21 @@ def hamiltonian(model: TreeModel, cost: RunningCostSpec, x, p):
 
 # -- solver -------------------------------------------------------------------
 
+# relative margin by which a candidate control must beat the incumbent before
+# the improvement step switches to it (Howard's rule with strict improvement)
+TIE_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class HJBIteration:
+    """One policy-iteration step: the sup-norm change of the value, the
+    number of interior points whose control the improvement step changed,
+    and the seconds spent in the sparse solve."""
+
+    sup_update: float
+    policy_changes: int
+    solve_s: float
+
 
 @dataclass(frozen=True)
 class HJBReport:
@@ -243,6 +248,7 @@ class HJBReport:
     sup_update: float
     interior_residual: float
     priority_edge: tuple[int, int] | None = None
+    history: tuple[HJBIteration, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -283,43 +289,24 @@ def _boundary_values_mc(model, cost, grid, n_paths, dt, seed, edge):
 
 
 def _extrapolation_rows(grid):
-    """COO entries for linear extrapolation at every boundary point."""
-    rows, cols, data = [], [], []
-    for p in grid.boundary:
-        c = grid.coords[p]
-        dims = [
-            (d, 1 if c[d] == 0 else -1)
-            for d in range(grid.dim)
-            if c[d] == 0 or c[d] == grid.counts[d] - 1
-        ]
-        k = len(dims)
-        rows.append(p)
-        cols.append(p)
-        data.append(1.0)
-        for d, direction in dims:
-            n1 = p + direction * grid.strides[d]
-            n2 = p + 2 * direction * grid.strides[d]
-            rows += [p, p]
-            cols += [n1, n2]
-            data += [-2.0 / k, 1.0 / k]
+    """COO entries for linear extrapolation at every boundary point.
+
+    Row ``p`` reads ``f[p] - mean_d(2 f[p + e_d] - f[p + 2 e_d]) = 0`` over
+    the faces ``d`` that ``p`` lies on, with ``e_d`` pointing inward.
+    """
+    b = grid.boundary
+    c = grid.coords[b]
+    lo = c == 0
+    face = lo | (c == grid.counts - 1)
+    k = face.sum(axis=1)
+    at, d = np.nonzero(face)
+    p = b[at]
+    step = np.where(lo[at, d], 1, -1) * grid.strides[d]
+    w = 1.0 / k[at]
+    rows = np.concatenate([b, p, p])
+    cols = np.concatenate([b, p + step, p + 2 * step])
+    data = np.concatenate([np.ones(len(b)), -2.0 * w, w])
     return rows, cols, data
-
-
-def _apply_extrapolation(grid, f):
-    out = f
-    for p in grid.boundary:
-        c = grid.coords[p]
-        acc = 0.0
-        k = 0
-        for d in range(grid.dim):
-            if c[d] == 0 or c[d] == grid.counts[d] - 1:
-                direction = 1 if c[d] == 0 else -1
-                n1 = p + direction * grid.strides[d]
-                n2 = p + 2 * direction * grid.strides[d]
-                acc += 2.0 * f[n1] - f[n2]
-                k += 1
-        out[p] = acc / k
-    return out
 
 
 def solve_hjb(
@@ -349,7 +336,13 @@ def solve_hjb(
         the same discretization; it is kept for cross-checks and is slow on
         fine grids.
     tol:
-        Convergence is declared when the sup-norm update falls below this.
+        ``"value"`` converges once the sup-norm update is at most ``tol``;
+        ``"policy"`` also needs an improvement step that changes no
+        control.  The improvement keeps a point's current control unless a
+        candidate beats it by more than ``TIE_RTOL * max(1, |f|_inf)``: on
+        the zero-imbalance plane every control gives the same value up to
+        rounding, and a plain ``argmin`` would cycle among them forever.
+        ``report.history`` records every policy-iteration step.
 
     Dimension is capped at 3: beyond that the grid is not tractable here.
     """
@@ -380,37 +373,46 @@ def solve_hjb(
         )
         f[grid.boundary] = bvals
 
-    def improve(fcur):
+    sel = np.arange(len(interior))
+
+    def candidates(fcur):
         stacked = np.empty((nC, len(interior)))
         for c in range(nC):
             num = (WP[c] * fcur[nb_p]).sum(axis=1) + (WM[c] * fcur[nb_m]).sum(axis=1) + LV[c]
             stacked[c] = num / DEN[c]
-        pol = stacked.argmin(axis=0)
-        return pol, stacked[pol, np.arange(len(interior))]
+        return stacked
 
+    def improve(fcur, pol):
+        stacked = candidates(fcur)
+        best = stacked.argmin(axis=0)
+        tie = TIE_RTOL * max(1.0, float(np.abs(fcur).max()))
+        return np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
+
+    if boundary == "extrapolate":
+        ext_rows, ext_cols, ext_data = _extrapolation_rows(grid)
+    history = []
     if method == "value":
+        if boundary == "extrapolate":
+            # residual of the extrapolation rows; zero at interior points
+            ext = sp.csr_matrix((ext_data, (ext_rows, ext_cols)), shape=(N, N))
         it = 0
         delta = np.inf
         while it < max_iter and delta > tol:
             fn = f.copy()
-            _, vals = improve(f)
-            fn[interior] = vals
+            fn[interior] = candidates(f).min(axis=0)
             if boundary == "extrapolate":
-                _apply_extrapolation(grid, fn)
+                fn -= ext @ fn
             delta = float(np.abs(fn - f).max())
             f = fn
             it += 1
         converged = delta <= tol
         iterations = it
     else:
-        if boundary == "extrapolate":
-            ext_rows, ext_cols, ext_data = _extrapolation_rows(grid)
         pol = LV.argmin(axis=0)
         delta = np.inf
         converged = False
         iterations = 0
         for it in range(1, max_iter + 1):
-            sel = np.arange(len(interior))
             wp = WP[pol, sel]
             wm = WM[pol, sel]
             rows = [interior, *([interior] * (2 * grid.dim))]
@@ -437,12 +439,16 @@ def solve_hjb(
                 cols = np.concatenate([cols, ext_cols])
                 data = np.concatenate([data, ext_data])
             A = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
+            t0 = time.perf_counter()
             fn = spsolve(A, rhs)
+            solve_s = time.perf_counter() - t0
             delta = float(np.abs(fn - f).max())
             f = fn
             iterations = it
-            new_pol, _ = improve(f)
-            if delta <= tol and (new_pol == pol).all():
+            new_pol = improve(f, pol)
+            changes = int((new_pol != pol).sum())
+            history.append(HJBIteration(delta, changes, solve_s))
+            if delta <= tol and changes == 0:
                 converged = True
                 break
             pol = new_pol
@@ -457,6 +463,7 @@ def solve_hjb(
         sup_update=delta,
         interior_residual=resid,
         priority_edge=edge,
+        history=tuple(history),
     )
     return HJBSolution(value=field, report=report)
 

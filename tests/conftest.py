@@ -32,6 +32,19 @@ def nmodel_cost():
     return hw.RunningCostSpec(c=[3.0, 1.0], d=[1.0, 2.0])
 
 
+def tree3_model():
+    """Three classes, two stations, a path tree; class 1 serves both."""
+    mu = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 1.5]])
+    psi_star = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+    lam, nu, x_star = hw.fluid_from_flows(mu, psi_star)
+    model = hw.TreeModel(
+        classes=3, stations=2, edges=((0, 0), (1, 0), (1, 1), (2, 1)), mu=mu,
+        theta=[0.5] * 3, ell=[0.0] * 3, r=[np.sqrt(2.0)] * 3, gamma=1.0,
+        lam=lam, nu=nu, x_star=x_star, psi_star=psi_star,
+    )
+    return model, hw.RunningCostSpec(c=[3.0, 1.0, 2.0], d=[1.0, 2.0])
+
+
 def single_class_fixture():
     """The grid-versus-Monte-Carlo cross-check setup."""
     model = single_edge_model(mu=1.0, theta=0.0, r=np.sqrt(2.0), gamma=1.0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import hwsched as hw
 from hwsched.cli import main
 from conftest import n_model, nmodel_cost, single_class_fixture
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 @pytest.fixture
@@ -97,6 +100,17 @@ def test_hjb_pipeline(single_file, tmp_path):
     assert cost["mean"] > 0 and cost["stderr"] > 0
 
 
+def test_solve_hjb_converges_at_cli_defaults(tmp_path):
+    out = tmp_path / "solve"
+    assert run("solve-hjb", "--model", MODELS / "n_model.json",
+               "--boundary", "extrapolate", "--out", out) == 0
+    report = json.loads((out / "solve.json").read_text())
+    assert report["converged"] is True
+    assert len(report["history"]) == report["iterations"]
+    assert report["history"][-1]["policy_changes"] == 0
+    assert report["history"][-1]["sup_update"] <= 1e-8
+
+
 def test_extract_policy_wrong_kind(single_file, tmp_path):
     solve_out = tmp_path / "s"
     run("solve-hjb", "--model", single_file, "--points", "41",
@@ -140,6 +154,19 @@ def test_integral_residual_artifacts(n_model_file, tmp_path):
     assert seqs["root"] == 0
     doc = json.loads((out / "residual.json").read_text())
     assert doc["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("det-run", "--policy", "static:a,b"),
+    ("det-run", "--policy", "static:0,7"),
+    ("simulate", "--policy", "switch:a", "--horizon", "0.1"),
+    ("simulate", "--policy", "switch:0", "--horizon", "0.1"),
+    ("prelimit", "--rule", "static:zz", "--reps", "2"),
+    ("compare", "--rule", "static:zz", "--reps", "2", "--paths", "2"),
+])
+def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
+    assert run(*argv, "--model", n_model_file, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_prelimit_and_compare(single_file, tmp_path):

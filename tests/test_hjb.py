@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 import hwsched as hw
-from conftest import n_model, nmodel_cost, single_class_fixture
+from conftest import n_model, nmodel_cost, single_class_fixture, tree3_model
 
 
 def two_class_one_station(c=(1.0, 1.0), theta=(0.0, 0.0), mu=(1.0, 1.0)):
@@ -127,6 +127,16 @@ def test_value_iteration_matches_policy_iteration():
     b = hw.solve_hjb(model, cost, grid, boundary="extrapolate", method="value",
                      tol=1e-10, max_iter=500_000)
     assert np.abs(a.value.values - b.value.values).max() < 1e-7
+
+
+def test_three_class_tree_converges():
+    model, cost = tree3_model()
+    sol = hw.solve_hjb(model, cost, hw.default_grid(model, points_per_dim=21),
+                       boundary="extrapolate")
+    assert sol.report.converged
+    last = sol.report.history[-1]
+    assert last.policy_changes == 0 and last.sup_update <= 1e-8
+    assert np.isfinite(sol.report.interior_residual)
 
 
 def test_boundary_modes_agree_in_the_bulk():
