@@ -23,17 +23,8 @@ times = [0.5, 1.0]
 
 # diffusion ensemble, matched start
 policy = hw.StaticPriority.for_model(model, 0, 0)
-paths = 20_000
-idx = [500, 1000]
-diffusion = np.empty((paths, 2, 1))
-done = 0
-for ci, size in enumerate(sde._chunk_sizes(paths, sde.CHUNK)):
-    rng = np.random.default_rng([99, ci])
-    _, snaps = sde._run_chunk(model, np.zeros((size, 1)), policy, 1000, 1e-3,
-                              rng, snap_idx=idx)
-    for s, k in enumerate(idx):
-        diffusion[done : done + size, s] = snaps[k]
-    done += size
+diffusion = np.concatenate(hw.ensemble(model, np.zeros((1, 1)), policy, 20_000, 1000, 1e-3,
+                                       99, sde.path_snapshots, snap_idx=[500, 1000]))
 
 print(f"{'n':>5} {'mean gap':>10} {'var gap':>10} {'mean z':>8} {'var z':>8}")
 for n in (25, 100, 400):

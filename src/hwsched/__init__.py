@@ -56,6 +56,7 @@ from .sde import (
     StaticPriority,
     SwitchingControl,
     default_priority_edge,
+    ensemble,
     mc_cost,
     mc_cost_batch,
     moment_curve,

@@ -28,16 +28,20 @@ def _write_json(path, doc):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def _load_model(path):
+def _load_model(path, validate=True):
     if path is None:
         raise CliError("--model is required")
     p = Path(path)
     if not p.exists():
         raise CliError(f"model file not found: {path}")
     try:
-        return model_mod.load_model(p)
+        model, cost = model_mod.load_model(p)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse model file: {exc}") from exc
+    bad = model_mod.validate_model(model).violations if validate else ()
+    if bad:
+        raise CliError(f"invalid model {path}: " + "; ".join(bad))
+    return model, cost
 
 
 def _require_cost(cost, flag="model file"):
@@ -124,7 +128,7 @@ def _smooth_controls(model, n, dt, rng):
 
 
 def cmd_validate(args, out):
-    model, cost = _load_model(args.model)
+    model, cost = _load_model(args.model, validate=False)
     report = model_mod.validate_model(model)
     doc = {"ok": report.ok, "violations": list(report.violations), "diameter": report.diameter}
     if cost is not None and report.ok:
@@ -339,21 +343,12 @@ def cmd_compare(args, out):
     model, _ = _load_model(args.model)
     scaling, x0, times, samples = _prelimit_samples(args, model)
     x0_real = ctmc.initial_headcounts(model, scaling, x0)[1]
-    policy = sde.FixedControl(model_mod.ControlPoint.uniform(model.classes, model.stations))
-    if args.rule.startswith("static:"):
-        policy = sde.StaticPriority.for_model(model, *_static_edge(args.rule, model))
+    spec = args.rule if args.rule.startswith("static:") else "uniform"
+    policy = _parse_policy(spec, model, args.horizon, args.seed)
     idx = [int(round(t / args.dt)) for t in times]
-    sizes = sde._chunk_sizes(args.paths, sde.CHUNK)
-    diff = np.empty((args.paths, len(times), model.classes))
-    done = 0
-    for ci, size in enumerate(sizes):
-        rng = np.random.default_rng([args.seed, 1000 + ci])
-        _, snaps = sde._run_chunk(
-            model, np.tile(x0_real, (size, 1)), policy, max(idx), args.dt, rng, snap_idx=idx
-        )
-        for s, k in enumerate(idx):
-            diff[done : done + size, s] = snaps[k]
-        done += size
+    diff = np.concatenate(sde.ensemble(
+        model, x0_real[None, :], policy, args.paths, max(idx), args.dt, args.seed,
+        sde.path_snapshots, snap_idx=idx, stream=1000, threads=args.threads))
     report = ctmc.compare_samples(samples, diff, times)
     ok = report.max_mean_z <= args.z_max and report.max_var_z <= args.z_max
     doc = report.to_dict()
@@ -475,6 +470,21 @@ def _build_parser():
     return parser
 
 
+# exclusive lower bounds of the numeric options, wherever a command has them
+LOWER_BOUNDS = {"dt": 0, "horizon": 0, "paths": 0, "reps": 0, "n": 0, "runs": 0, "samples": 0,
+                "boundary_paths": 0, "threads": 0, "points": 2}
+
+
+def _check_numbers(args):
+    """Reject numeric options out of range, whether from flags or a config."""
+    for name, low in LOWER_BOUNDS.items():
+        val = getattr(args, name, None)
+        if val is not None and not (isinstance(val, (int, float)) and val > low):
+            raise CliError(f"--{name.replace('_', '-')} must be above {low}, got {val!r}")
+    if getattr(args, "moments", None) and (_floats(args.moments, name="--moments") < 0).any():
+        raise CliError(f"--moments times must be nonnegative, got {args.moments!r}")
+
+
 def _merge_config(args, argv):
     if not args.config:
         return args
@@ -503,6 +513,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args, argv)
+        _check_numbers(args)
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
         params = {k: v for k, v in vars(args).items() if k not in ("command",)}
         _manifest(out, args.command, params)

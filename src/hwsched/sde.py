@@ -1,9 +1,10 @@
 """Euler simulation of the controlled state diffusion and cost estimation.
 
 Paths follow ``X_{k+1} = X_k + b(X_k, U_k) dt + r sqrt(dt) xi_k`` with the
-control read from a pluggable policy at the left endpoint.  Reproducibility
-is counter-based: path chunks of a fixed size draw from generators seeded
-``(seed, chunk_index)``, and estimators combine partial sums in chunk
+control read from a pluggable policy at the left endpoint, by one Euler
+loop (``_run_chunk``) under one ensemble driver (``ensemble``).
+Reproducibility is counter-based: path chunks of a fixed layout draw from
+generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
 order, so results are byte-identical for a given seed regardless of the
 worker count.
 """
@@ -176,55 +177,45 @@ def simulate_path(
     dt: float = 1e-3,
     seed: int = 0,
 ) -> SimPath:
-    """Simulate one controlled path; deterministic for a given seed."""
+    """One controlled path: the single path of ``ensemble(..., seed, stream=0)``."""
     if dt <= 0 or horizon <= 0:
         raise ValueError("horizon and dt must be positive")
     n = int(round(horizon / dt))
     I = model.classes
+    u, v, xi = np.empty((n, I)), np.empty((n, model.stations)), np.empty((n, I))
     rng = np.random.default_rng([int(seed), 0])
-    x = np.empty((n + 1, I))
-    u = np.empty((n, I))
-    v = np.empty((n, model.stations))
+    x0s = np.asarray(x0, dtype=float)[None, :]
+    _, snaps = _run_chunk(model, x0s, policy, n, dt, rng, None, range(n + 1), (u, v, xi))
     noise = np.zeros((n + 1, I))
-    x[0] = np.asarray(x0, dtype=float)
-    sq = np.sqrt(dt)
-    for k in range(n):
-        uk, vk = policy.controls(x[k : k + 1], k * dt)
-        u[k], v[k] = uk[0], vk[0]
-        b = drift_batch(model, x[k : k + 1], uk, vk)[0]
-        xi = rng.standard_normal(I)
-        noise[k + 1] = noise[k] + sq * xi
-        x[k + 1] = x[k] + b * dt + model.r * sq * xi
-    return SimPath(dt=dt, x=x, u=u, v=v, noise=noise)
+    noise[1:] = np.sqrt(dt) * xi
+    np.cumsum(noise, axis=0, out=noise)
+    return SimPath(dt=dt, x=snaps.reshape(n + 1, I), u=u, v=v, noise=noise)
 
 
-def _chunk_sizes(n_paths: int, chunk: int):
-    out = []
-    done = 0
-    while done < n_paths:
-        size = min(chunk, n_paths - done)
-        out.append(size)
-        done += size
-    return out
-
-
-def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, gamma=None, snap_idx=()):
-    """Advance a batch of paths; accumulate discounted cost and snapshots.
+def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), record=None):
+    """Advance a batch of paths: the one Euler loop of the package.
 
     ``x0s`` is the ``(B, I)`` batch of initial states.  Returns the per-path
-    discounted running-cost integrals (when ``cost`` is given) and the state
-    snapshots at the requested step indices.
+    running-cost integrals discounted at ``model.gamma`` (when ``cost`` is
+    given, else ``None``) and the ``(len(snap_idx), B, I)`` states at the
+    requested step indices.  ``record``, when given, is a ``(u, v, xi)``
+    triple of arrays with ``n_steps`` rows into which each step writes its
+    controls and its raw standard normal draw.
     """
     X = np.array(x0s, dtype=float)
     B = len(X)
     noise_scale = model.r * np.sqrt(dt)
     costs = np.zeros(B) if cost is not None else None
-    snaps = {}
-    want = set(int(k) for k in snap_idx)
-    if 0 in want:
-        snaps[0] = X.copy()
+    snaps = np.empty((len(snap_idx), B, model.classes))
+    # snapshot slots in step order, with a sentinel past the last step
+    order = np.argsort(snap_idx, kind="stable")
+    due = np.append(np.asarray(snap_idx, dtype=int)[order], n_steps + 1)
+    p = 0
+    while due[p] == 0:
+        snaps[order[p]] = X
+        p += 1
     disc = 1.0
-    decay = np.exp(-gamma * dt) if gamma is not None else None
+    decay = np.exp(-model.gamma * dt)
     for k in range(n_steps):
         U, V = policy.controls(X, k * dt)
         if cost is not None:
@@ -236,11 +227,60 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, gamma=None, snap
         b *= dt
         X += b
         xi = rng.standard_normal((B, model.classes))
+        if record is not None:
+            record[0][k], record[1][k], record[2][k] = U, V, xi
         xi *= noise_scale
         X += xi
-        if (k + 1) in want:
-            snaps[k + 1] = X.copy()
+        while due[p] == k + 1:
+            snaps[order[p]] = X
+            p += 1
     return costs, snaps
+
+
+def ensemble(model: TreeModel, x0s, policy, n_paths: int, n_steps: int, dt: float, seed: int,
+             reduce, *, cost=None, snap_idx=(), stream: int = 0, threads: int = 1) -> list:
+    """Run ``n_paths`` Euler paths from every row of ``x0s``, chunk by chunk.
+
+    Chunk ``c`` holds ``max(1, CHUNK // B)`` paths per start (fewer in the
+    last chunk) as the rows ``np.repeat(x0s, size, 0)`` and draws from
+    ``default_rng([seed, stream + c])``.  Each worker returns
+    ``reduce(costs, snaps, size)`` on the output of ``_run_chunk``; the
+    results come back in chunk order, so a reduction summed over them is
+    byte-identical for any ``threads``.
+    """
+    snap_idx = [int(k) for k in snap_idx]
+    if n_paths < 1 or dt <= 0 or n_steps < 0:
+        raise ValueError("n_paths and dt must be positive and n_steps nonnegative")
+    if any(not 0 <= k <= n_steps for k in snap_idx):
+        raise ValueError(f"snapshot steps must lie in [0, {n_steps}]")
+    x0s = np.asarray(x0s, dtype=float)
+    size = max(1, CHUNK // len(x0s))
+
+    def work(c):
+        n = min(size, n_paths - c * size)
+        rng = np.random.default_rng([int(seed), stream + c])
+        costs, snaps = _run_chunk(model, np.repeat(x0s, n, axis=0), policy, n_steps, dt, rng,
+                                  cost, snap_idx)
+        return reduce(costs, snaps, n)
+
+    chunks = range(-(-n_paths // size))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, chunks))
+    return [work(c) for c in chunks]
+
+
+def path_snapshots(costs, snaps, size):
+    """``ensemble`` reducer keeping every path's snapshots, ``(size, len(snap_idx), I)``;
+    ``np.concatenate`` of the results stacks all paths in chunk order."""
+    return snaps.swapaxes(0, 1).copy()
+
+
+def _mean_stderr(total, total_sq, n):
+    """Sample mean and its standard error from a sum and a sum of squares."""
+    mean = total / n
+    var = np.maximum(total_sq / n - mean**2, 0.0) * n / max(n - 1, 1)
+    return mean, np.sqrt(var / n)
 
 
 @dataclass(frozen=True)
@@ -344,40 +384,15 @@ def mc_cost_batch(
     fit_idx = [min(k, n_steps) for k in fit_idx]
     m_exp = cost.growth_exponent
 
-    # fixed chunk layout (independent of worker count) keeps runs reproducible
-    sizes = _chunk_sizes(n_paths, max(1, CHUNK // B))
-
-    def work(item):
-        ci, size = item
-        rng = np.random.default_rng([int(seed), ci])
-        x0_rep = np.repeat(x0s, size, axis=0)
-        costs, snaps = _run_chunk(
-            model, x0_rep, policy, n_steps, dt, rng,
-            cost=cost, gamma=model.gamma, snap_idx=fit_idx,
-        )
+    def reduce(costs, snaps, size):
         costs = costs.reshape(B, size)
-        mom = np.stack(
-            [(np.abs(snaps[k]).sum(axis=1) ** m_exp).reshape(B, size).sum(axis=1) for k in fit_idx]
-        )
+        mom = (np.abs(snaps).sum(axis=2) ** m_exp).reshape(len(fit_idx), B, size).sum(axis=2)
         return costs.sum(axis=1), (costs**2).sum(axis=1), mom
 
-    items = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(it) for it in items]
-
-    total = np.zeros(B)
-    total_sq = np.zeros(B)
-    mom_sum = np.zeros((len(fit_idx), B))
-    for s, s2, mm in results:
-        total += s
-        total_sq += s2
-        mom_sum += mm
-    mean = total / n_paths
-    var = np.maximum(total_sq / n_paths - mean**2, 0.0) * n_paths / max(n_paths - 1, 1)
-    se = np.sqrt(var / n_paths)
+    parts = ensemble(model, x0s, policy, n_paths, n_steps, dt, seed, reduce,
+                     cost=cost, snap_idx=fit_idx, threads=threads)
+    total, total_sq, mom_sum = map(sum, zip(*parts))
+    mean, se = _mean_stderr(total, total_sq, n_paths)
     tails = np.array(
         [
             _tail_bound(cost, model.gamma, T, dt * np.array(fit_idx), mom_sum[:, b] / n_paths)
@@ -411,26 +426,12 @@ def moment_curve(
     if exponent < 1:
         raise ValueError("moment exponent must be at least 1")
     idx = [int(round(t / dt)) for t in times]
-    n_steps = max(idx)
-    x0 = np.asarray(x0, dtype=float)
-    sizes = _chunk_sizes(n_paths, CHUNK)
 
-    def work(item):
-        ci, size = item
-        rng = np.random.default_rng([int(seed), ci])
-        x0_rep = np.tile(x0, (size, 1))
-        _, snaps = _run_chunk(model, x0_rep, policy, n_steps, dt, rng, snap_idx=idx)
-        vals = np.stack([np.abs(snaps[k]).sum(axis=1) ** exponent for k in idx])
+    def reduce(costs, snaps, size):
+        vals = np.abs(snaps).sum(axis=2) ** exponent
         return vals.sum(axis=1), (vals**2).sum(axis=1)
 
-    items = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(it) for it in items]
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
-    mean = total / n_paths
-    var = np.maximum(total_sq / n_paths - mean**2, 0.0) * n_paths / max(n_paths - 1, 1)
-    return MomentCurve(times, mean, np.sqrt(var / n_paths), exponent)
+    parts = ensemble(model, np.asarray(x0, dtype=float)[None, :], policy, n_paths, max(idx), dt,
+                     seed, reduce, snap_idx=idx, threads=threads)
+    mean, se = _mean_stderr(*map(sum, zip(*parts)), n_paths)
+    return MomentCurve(times, mean, se, exponent)

@@ -245,15 +245,8 @@ def test_criterion_09_prelimit_convergence():
     samples = hw.run_replications(model, scaling, rule, [0.0], 1.0, reps,
                                   seed=SEED, sample_times=[1.0])
     policy = hw.StaticPriority.for_model(model, 0, 0)
-    paths = 10_000
-    diff = np.empty((paths, 1, 1))
-    done = 0
-    for ci, size in enumerate(sde._chunk_sizes(paths, sde.CHUNK)):
-        rng = np.random.default_rng([SEED, 5000 + ci])
-        _, snaps = sde._run_chunk(model, np.zeros((size, 1)), policy, 1000, 1e-3,
-                                  rng, snap_idx=[1000])
-        diff[done : done + size, 0] = snaps[1000]
-        done += size
+    diff = np.concatenate(hw.ensemble(model, np.zeros((1, 1)), policy, 10_000, 1000, 1e-3, SEED,
+                                      sde.path_snapshots, snap_idx=[1000], stream=5000))
     rep = hw.compare_samples(samples, diff, [1.0])
     ok = rep.max_mean_z <= 3.0 and rep.max_var_z <= 3.0
     report(9, ok, f"n=400 terminal law vs diffusion: mean z {rep.max_mean_z:.2f}, "

@@ -163,10 +163,40 @@ def test_integral_residual_artifacts(n_model_file, tmp_path):
     ("simulate", "--policy", "switch:0", "--horizon", "0.1"),
     ("prelimit", "--rule", "static:zz", "--reps", "2"),
     ("compare", "--rule", "static:zz", "--reps", "2", "--paths", "2"),
+    ("solve-hjb", "--points", "2"),
+    ("simulate", "--dt", "0"),
+    ("prelimit", "--n", "0"),
+    ("det-run", "--dt", "0"),
+    ("simulate", "--config", "DT0_CONFIG"),
+    ("nonidling-check", "--dt", "0"),
+    ("integral-residual", "--dt", "0"),
+    ("counterexample", "--dt", "0"),
+    ("evaluate-policy", "--dt", "0"),
+    ("evaluate-policy", "--paths", "0"),
+    ("simulate", "--moments", "-1"),
+    ("compare", "--threads", "0"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
-    assert run(*argv, "--model", n_model_file, "--out", tmp_path / "o") == 2
+    config = tmp_path / "dt0.json"
+    config.write_text(json.dumps({"dt": 0}))
+    argv = [config if a == "DT0_CONFIG" else a for a in argv]
+    model = [] if argv[0] == "counterexample" else ["--model", n_model_file]
+    assert run(*argv, *model, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [("lambda", [5.0, 5.0]), ("gamma", -1.0)])
+def test_invalid_model_exits_two_outside_validate(tmp_path, capsys, key, value):
+    doc = json.loads((MODELS / "n_model.json").read_text())
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    # small sizes keep a regression short; each command should stop at load
+    for argv in (("simulate", "--horizon", "0.1"), ("evaluate-policy", "--paths", "2"),
+                 ("solve-hjb", "--points", "5", "--boundary", "extrapolate")):
+        assert run(*argv, "--model", path, "--out", tmp_path / argv[0]) == 2
+        assert "invalid model" in capsys.readouterr().err
+    assert run("validate", "--model", path, "--out", tmp_path / "v") == 1
 
 
 def test_prelimit_and_compare(single_file, tmp_path):

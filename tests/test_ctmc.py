@@ -163,10 +163,8 @@ def test_scaled_moments_approach_diffusion(rng):
     model = single_edge_model(mu=1.0, theta=0.0, r=np.sqrt(2.0))
     policy = hw.StaticPriority.for_model(model, 0, 0)
     reps = 2500
-    diff = np.empty((8192, 1, 1))
-    rng2 = np.random.default_rng([77, 0])
-    _, snaps = sde._run_chunk(model, np.zeros((8192, 1)), policy, 500, 2e-3, rng2, snap_idx=[500])
-    diff[:, 0] = snaps[500]
+    diff = np.concatenate(sde.ensemble(model, np.zeros((1, 1)), policy, 8192, 500, 2e-3, 77,
+                                       sde.path_snapshots, snap_idx=[500]))
     gaps = {}
     for n in (25, 400):
         scaling = hw.ScalingSpec.centered(model, n)

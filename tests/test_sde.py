@@ -70,10 +70,47 @@ def test_mc_cost_reproducible_across_seeds():
 def test_mc_cost_threaded_matches_sequential():
     model, cost = single_class_fixture()
     policy = hw.StaticPriority.for_model(model, 0, 0)
-    kw = dict(n_paths=3000, horizon=4.0, dt=5e-3, seed=7)
-    seq = hw.mc_cost(model, cost, [0.5], policy, threads=1, **kw)
-    par = hw.mc_cost(model, cost, [0.5], policy, threads=3, **kw)
-    assert seq.mean == par.mean and seq.stderr == par.stderr
+    cases = [
+        (np.array([[0.5]]), dict(n_paths=3000, horizon=4.0)),
+        (np.linspace(-1.0, 1.0, 8)[:, None], dict(n_paths=8292, horizon=0.05)),
+    ]
+    chunks = hw.ensemble(model, cases[1][0], policy, 8292, 0, 5e-3, 7, lambda *_: None)
+    assert len(chunks) == 2
+    for x0s, kw in cases:
+        seq = hw.mc_cost_batch(model, cost, x0s, policy, dt=5e-3, seed=7, threads=1, **kw)
+        par = hw.mc_cost_batch(model, cost, x0s, policy, dt=5e-3, seed=7, threads=3, **kw)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seq, par))
+
+
+def test_simulate_path_is_one_ensemble_path():
+    model = n_model()
+    policy = hw.SwitchingControl(model, period=0.1, horizon=0.5, seed=2)
+    path = hw.simulate_path(model, [0.4, -0.3], policy, 0.5, 1e-2, seed=5)
+    (snaps,) = hw.ensemble(model, [[0.4, -0.3]], policy, 1, 50, 1e-2, 5, sde.path_snapshots,
+                           snap_idx=range(51))
+    assert path.x.tobytes() == snaps[0].tobytes()
+
+
+def test_ensemble_streams_differ():
+    model, _ = single_class_fixture()
+    policy = hw.StaticPriority.for_model(model, 0, 0)
+
+    def run(stream):
+        return np.concatenate(hw.ensemble(model, [[0.0]], policy, 100, 10, 1e-2, 3,
+                                          sde.path_snapshots, snap_idx=[10], stream=stream))
+
+    assert (run(0) == run(0)).all()
+    assert (run(0) != run(1)).all()
+
+
+@pytest.mark.parametrize("n_paths, dt, snap_idx", [(0, 1e-2, ()), (10, 0.0, ()),
+                                                   (10, 1e-2, (-1,)), (10, 1e-2, (11,))])
+def test_ensemble_rejects_bad_sizes(n_paths, dt, snap_idx):
+    model, _ = single_class_fixture()
+    policy = hw.StaticPriority.for_model(model, 0, 0)
+    with pytest.raises(ValueError):
+        hw.ensemble(model, [[0.0]], policy, n_paths, 10, dt, 0, sde.path_snapshots,
+                    snap_idx=snap_idx)
 
 
 def test_mc_cost_batch_matches_single_runs():
