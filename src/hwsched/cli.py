@@ -38,10 +38,23 @@ def _load_model(path, validate=True):
         model, cost = model_mod.load_model(p)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse model file: {exc}") from exc
-    bad = model_mod.validate_model(model).violations if validate else ()
+    bad = _violations(model, cost)[1] if validate else ()
     if bad:
         raise CliError(f"invalid model {path}: " + "; ".join(bad))
     return model, cost
+
+
+def _violations(model, cost):
+    """The model's validation report and every violation of the model and of
+    its cost spec, if it has one."""
+    report = model_mod.validate_model(model)
+    bad = list(report.violations)
+    if cost is not None:
+        bad += [f"cost spec: {v}" for v in cost.check()]
+        for name, w, n in (("queue", cost.c, model.classes), ("idle", cost.d, model.stations)):
+            if w.shape != (n,):
+                bad.append(f"cost spec: {name} weights need {n} entries, got {w.size}")
+    return report, bad
 
 
 def _require_cost(cost, flag="model file"):
@@ -129,15 +142,15 @@ def _smooth_controls(model, n, dt, rng):
 
 def cmd_validate(args, out):
     model, cost = _load_model(args.model, validate=False)
-    report = model_mod.validate_model(model)
-    doc = {"ok": report.ok, "violations": list(report.violations), "diameter": report.diameter}
-    if cost is not None and report.ok:
+    report, bad = _violations(model, cost)
+    doc = {"ok": not bad, "violations": bad, "diameter": report.diameter}
+    if cost is not None and not bad:
         doc["cases"] = sorted(model_mod.classify_case(model, cost))
     _write_json(out / "report.json", doc)
-    print(("valid" if report.ok else "invalid") + f", diameter={report.diameter}")
-    for v in report.violations:
+    print(("invalid" if bad else "valid") + f", diameter={report.diameter}")
+    for v in bad:
         print("  -", v)
-    return report.ok
+    return not bad
 
 
 def cmd_simulate(args, out):
@@ -378,6 +391,8 @@ HANDLERS = {
 def _build_parser():
     parser = argparse.ArgumentParser(prog="hwsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's parser by name, for reading its options' types
+    parser.subcommands = sub.choices
 
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -485,7 +500,22 @@ def _check_numbers(args):
         raise CliError(f"--moments times must be nonnegative, got {args.moments!r}")
 
 
-def _merge_config(args, argv):
+def _config_value(action, key, value):
+    """A config value as its option's flag would give it: the option's
+    argparse ``type`` applied to the value's text, and one of its ``choices``."""
+    if value is None and action.default is None:
+        return None
+    text = str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError as exc:
+        raise CliError(f"config key {key!r}: invalid {action.type.__name__} value {value!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise CliError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
+def _merge_config(parser, args, argv):
     if not args.config:
         return args
     path = Path(args.config)
@@ -495,13 +525,16 @@ def _merge_config(args, argv):
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse config: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError("config must be a JSON object")
+    actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or attr == "help":
             raise CliError(f"unknown config key {key!r}")
         # command-line flags that were given explicitly beat the config
         if f"--{key}" not in argv and f"--{attr}" not in argv:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
     return args
 
 
@@ -512,7 +545,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, argv)
+        args = _merge_config(parser, args, argv)
         _check_numbers(args)
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
         params = {k: v for k, v in vars(args).items() if k not in ("command",)}

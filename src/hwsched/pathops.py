@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import TreeCombinatorics, TreeModel, build_combinatorics
 
@@ -62,6 +61,9 @@ def invert_rate(mu: float, values: np.ndarray, dt: float) -> np.ndarray:
     quadrature, evaluated by a stable linear recursion.  The solution obeys
     ``sup |x| <= 2 sup |w|`` up to discretization error.
     """
+    # imported here: scipy.signal takes most of a second to import
+    from scipy.signal import lfilter
+
     if mu <= 0:
         raise ValueError("rate must be positive")
     w = np.asarray(values, dtype=float)

@@ -3,6 +3,19 @@
 Paths follow ``X_{k+1} = X_k + b(X_k, U_k) dt + r sqrt(dt) xi_k`` with the
 control read from a pluggable policy at the left endpoint, by one Euler
 loop (``_run_chunk``) under one ensemble driver (``ensemble``).
+
+Policies are tabulated: each keeps its controls as the rows of a fixed
+table ``table = (Ut, Vt)`` and picks rows with ``index(X, t)``, which
+returns an int (one row for every state) or an integer array (one row per
+state); ``controls(X, t)`` is the public view of the same choice.  With the
+imbalance ``s`` the drift ``-X Rx^T + s^+ (U Rx^T - theta U) + s^- V Rb^T +
+ell`` and the running cost are affine in one coefficient column per row,
+so the loop builds those columns once and a step gathers the picked ones.
+A policy with ``table = None`` or with only ``controls`` (a blending
+``GridMarkov``, user policies) is simulated by the same loop, its rows
+turned into columns at each step.  Either way the floats are those of
+``drift_batch`` and ``RunningCostSpec.evaluate`` on the same rows.
+
 Reproducibility is counter-based: path chunks of a fixed layout draw from
 generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
 order, so results are byte-identical for a given seed regardless of the
@@ -15,16 +28,27 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .flows import drift_batch
+# drift_batch stays importable here: it is the batch form of what _columns tabulates
+from .flows import _drift_maps, drift_batch  # noqa: F401
 from .model import ControlPoint, RunningCostSpec, TreeModel
 
 # state rows per simulation chunk; fixed so runs reproduce across workers
 CHUNK = 65536
 
 
-# -- policies ---------------------------------------------------------------
+# -- policies (tabulated: ``table`` and ``index``, see the module docstring) ---
+
+
+def _table_controls(policy, X, t):
+    """Controls of a tabulated policy: rows ``policy.index(X, t)`` of its
+    table, ``(B, I)`` and ``(B, J)`` for the ``B`` states in ``X``."""
+    Ut, Vt = policy.table
+    k = policy.index(X, t)
+    if isinstance(k, np.ndarray):
+        return Ut[k], Vt[k]
+    B = len(X)
+    return np.broadcast_to(Ut[k], (B, Ut.shape[1])), np.broadcast_to(Vt[k], (B, Vt.shape[1]))
 
 
 class FixedControl:
@@ -32,15 +56,12 @@ class FixedControl:
 
     def __init__(self, point: ControlPoint):
         self.point = point
-        self._tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.table = (point.u[None, :], point.v[None, :])
 
-    def controls(self, X: np.ndarray, t: float):
-        B = len(X)
-        cached = self._tiles.get(B)
-        if cached is None:
-            cached = np.tile(self.point.u, (B, 1)), np.tile(self.point.v, (B, 1))
-            self._tiles[B] = cached
-        return cached
+    def index(self, X: np.ndarray, t: float) -> int:
+        return 0
+
+    controls = _table_controls
 
 
 class StaticPriority(FixedControl):
@@ -73,6 +94,7 @@ class SwitchingControl:
 
     Switch targets are drawn once from a seeded generator, so the control
     is a fixed function of time; exercises non-Markov admissible behavior.
+    The table holds one vertex pair per time slot of length ``period``.
     """
 
     def __init__(self, model: TreeModel, period: float, horizon: float, seed: int = 0):
@@ -81,29 +103,28 @@ class SwitchingControl:
         rng = np.random.default_rng([seed, 2718])
         count = int(np.ceil(horizon / period)) + 2
         self.period = period
-        self._us = np.zeros((count, model.classes))
-        self._vs = np.zeros((count, model.stations))
-        self._us[np.arange(count), rng.integers(0, model.classes, size=count)] = 1.0
-        self._vs[np.arange(count), rng.integers(0, model.stations, size=count)] = 1.0
-        self._tiles: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        us = np.zeros((count, model.classes))
+        vs = np.zeros((count, model.stations))
+        us[np.arange(count), rng.integers(0, model.classes, size=count)] = 1.0
+        vs[np.arange(count), rng.integers(0, model.stations, size=count)] = 1.0
+        self.table = (us, vs)
 
-    def controls(self, X: np.ndarray, t: float):
-        idx = min(int(t / self.period), len(self._us) - 1)
-        B = len(X)
-        cached = self._tiles.get((idx, B))
-        if cached is None:
-            cached = np.tile(self._us[idx], (B, 1)), np.tile(self._vs[idx], (B, 1))
-            self._tiles[(idx, B)] = cached
-        return cached
+    def index(self, X: np.ndarray, t: float) -> int:
+        return min(int(t / self.period), len(self.table[0]) - 1)
+
+    controls = _table_controls
 
 
 class GridMarkov:
     """Markov policy read off a grid-sampled policy field.
 
     Accepts any object with ``grid``, ``u`` and ``v`` attributes (see the
-    grid solver module).  The default lookup is nearest-neighbor; controls
-    at neighboring grid points may be distant vertices, so blending them is
-    only meaningful for costs affine in the control and is opt-in.
+    grid solver module).  The default lookup is nearest-neighbor: the table
+    is the field's rows and ``index`` the flat index of the nearest grid
+    point, with states outside the box clipped onto it.  Controls at
+    neighboring grid points may be distant vertices, so blending them is
+    only meaningful for costs affine in the control and is opt-in; a
+    blending policy has no table.
     """
 
     def __init__(self, field, blend: bool = False):
@@ -113,17 +134,25 @@ class GridMarkov:
         self._lows = g.lows
         self._spacing = g.spacing
         self._counts = g.counts
+        # flat (C-order) index of grid point n is n @ _strides
+        self._strides = np.append(np.cumprod(g.counts[:0:-1])[::-1], 1).astype(float)
+        self._top = g.counts - 1.0
+        self.table = None if blend else (field.u, field.v)
 
     def _clipped_coords(self, X: np.ndarray) -> np.ndarray:
         rel = (X - self._lows) / self._spacing
-        return np.clip(rel, 0.0, self._counts - 1.0)
+        np.maximum(rel, 0.0, out=rel)
+        return np.minimum(rel, self._top, out=rel)
+
+    def index(self, X: np.ndarray, t: float) -> np.ndarray:
+        rel = self._clipped_coords(X)
+        np.rint(rel, out=rel)
+        return (rel @ self._strides).astype(np.intp)
 
     def controls(self, X: np.ndarray, t: float):
-        rel = self._clipped_coords(np.asarray(X, dtype=float))
         if not self.blend:
-            idx = np.rint(rel).astype(int)
-            flat = np.ravel_multi_index(idx.T, tuple(self._counts))
-            return self.field.u[flat], self.field.v[flat]
+            return _table_controls(self, X, t)
+        rel = self._clipped_coords(np.asarray(X, dtype=float))
         lo = np.floor(rel).astype(int)
         lo = np.minimum(lo, self._counts - 2)
         frac = rel - lo
@@ -133,7 +162,7 @@ class GridMarkov:
         for corner in range(1 << dims):
             offs = np.array([(corner >> d) & 1 for d in range(dims)])
             weight = np.prod(np.where(offs, frac, 1.0 - frac), axis=1)
-            flat = np.ravel_multi_index((lo + offs).T, tuple(self._counts))
+            flat = ((lo + offs) @ self._strides).astype(np.intp)
             u += weight[:, None] * self.field.u[flat]
             v += weight[:, None] * self.field.v[flat]
         return u, v
@@ -192,6 +221,37 @@ def simulate_path(
     return SimPath(dt=dt, x=snaps.reshape(n + 1, I), u=u, v=v, noise=noise)
 
 
+def _columns(model, cost, U, V):
+    """Drift and cost coefficients of the control rows ``U`` ``(n, I)`` and ``V`` ``(n, J)``.
+
+    The drift is ``-X Rx^T + s^+ (U Rx^T - theta U) + s^- (V Rb^T) + ell`` and
+    the cost ``s^+^p sum c u^p + s^-^q sum d v^q + kappa |x|^m + constant``,
+    so each row enters a step through two coefficient columns.  Returns
+    ``(Q, Z)``, each ``(I + 1, n)``: ``Q[:I]`` is the queue-side drift and
+    ``Q[I]`` the queue cost weight, ``Z[:I]`` and ``Z[I]`` the idle-side ones
+    (zero weights when ``cost`` is None).  The float operations are those of
+    ``drift_batch`` and ``RunningCostSpec.evaluate`` on the same rows.
+    """
+    RxT, _, RbT = _drift_maps(model)
+    queue = U @ RxT
+    if model.theta.any():
+        queue = queue - model.theta * U
+    cu = dv = np.zeros(len(U))
+    if cost is not None:
+        cu = U @ cost.c if cost.p == 1.0 else (cost.c * U**cost.p).sum(axis=-1)
+        dv = V @ cost.d if cost.q == 1.0 else (cost.d * V**cost.q).sum(axis=-1)
+    return np.column_stack([queue, cu]).T, np.column_stack([V @ RbT, dv]).T
+
+
+def _row_sum(A):
+    """Sum over the rows of ``A``, added in row order: the order in which
+    ``drift_batch`` and ``evaluate`` sum the coordinates of ``(B, I)`` states."""
+    out = A[0]
+    for row in A[1:]:
+        out = out + row
+    return out
+
+
 def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), record=None):
     """Advance a batch of paths: the one Euler loop of the package.
 
@@ -201,38 +261,83 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     requested step indices.  ``record``, when given, is a ``(u, v, xi)``
     triple of arrays with ``n_steps`` rows into which each step writes its
     controls and its raw standard normal draw.
+
+    The state is kept class-major, ``(I, B)``.  A tabulated policy's rows are
+    turned into coefficient columns once (``_columns``); each step then takes
+    the columns of the rows ``policy.index`` picks.  A policy with only
+    ``controls`` has its rows turned into columns at every step.
     """
-    X = np.array(x0s, dtype=float)
-    B = len(X)
+    X = np.array(x0s, dtype=float).T.copy()
+    I, B = X.shape
+    table = getattr(policy, "table", None)
+    if table is not None:
+        Q, Z = (np.ascontiguousarray(a) for a in _columns(model, cost, *table))
+        # the (I + 1, 1) column of each row, for an index shared by all paths
+        Qk, Zk = Q.T[:, :, None], Z.T[:, :, None]
+    # lin @ X is (X.T @ -Rx^T).T; the transposed view, not a copy, makes BLAS
+    # round it as drift_batch does (a copy differs for a single path)
+    lin = _drift_maps(model)[1].T
+    ell = model.ell[:, None] if model.ell.any() else None
     noise_scale = model.r * np.sqrt(dt)
     costs = np.zeros(B) if cost is not None else None
-    snaps = np.empty((len(snap_idx), B, model.classes))
+    if cost is not None:
+        c_on, d_on = cost.c.any(), cost.d.any()
+    snaps = np.empty((len(snap_idx), B, I))
     # snapshot slots in step order, with a sentinel past the last step
     order = np.argsort(snap_idx, kind="stable")
     due = np.append(np.asarray(snap_idx, dtype=int)[order], n_steps + 1)
     p = 0
     while due[p] == 0:
-        snaps[order[p]] = X
+        snaps[order[p]] = X.T
         p += 1
     disc = 1.0
     decay = np.exp(-model.gamma * dt)
     for k in range(n_steps):
-        U, V = policy.controls(X, k * dt)
+        t = k * dt
+        s = _row_sum(X)
+        pos = np.maximum(s, 0.0)
+        neg = pos - s
+        if table is None:
+            U, V = policy.controls(X.T, t)
+            qa, za = _columns(model, cost, U, V)
+        else:
+            idx = policy.index(X.T, t)
+            if isinstance(idx, np.ndarray):
+                qa, za = Q.take(idx, axis=1), Z.take(idx, axis=1)
+            else:
+                qa, za = Qk[idx], Zk[idx]
+            if record is not None:
+                U, V = table[0][idx], table[1][idx]
         if cost is not None:
-            step_cost = cost.evaluate(X, U, V)
+            # the terms in RunningCostSpec.evaluate's order; x + constant is constant + x
+            if c_on:
+                step_cost = (pos if cost.p == 1.0 else pos**cost.p) * qa[I]
+                if cost.constant:
+                    step_cost += cost.constant
+            else:
+                step_cost = np.full(B, cost.constant)
+            if d_on:
+                step_cost += (neg if cost.q == 1.0 else neg**cost.q) * za[I]
+            if cost.kappa:
+                norm = _row_sum(np.abs(X))
+                step_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
             step_cost *= disc * dt
             costs += step_cost
             disc *= decay
-        b = drift_batch(model, X, U, V)
+        b = lin @ X
+        b += pos * qa[:I]
+        b += neg * za[:I]
+        if ell is not None:
+            b += ell
         b *= dt
         X += b
-        xi = rng.standard_normal((B, model.classes))
+        xi = rng.standard_normal((B, I))
         if record is not None:
             record[0][k], record[1][k], record[2][k] = U, V, xi
         xi *= noise_scale
-        X += xi
+        X += xi.T
         while due[p] == k + 1:
-            snaps[order[p]] = X
+            snaps[order[p]] = X.T
             p += 1
     return costs, snaps
 
@@ -308,6 +413,9 @@ def _tail_bound(cost, gamma, horizon, times, moments):
     envelope ``scale * (1 + moment(t))`` under the discount from the horizon
     on.
     """
+    # imported here, like pathops' scipy.signal, to keep `import hwsched` light
+    from scipy.integrate import quad
+
     mom = np.maximum(np.asarray(moments, dtype=float), 1e-300)
     if mom.max() < 1e-12:
         poly = lambda t: 0.0

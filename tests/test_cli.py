@@ -175,11 +175,18 @@ def test_integral_residual_artifacts(n_model_file, tmp_path):
     ("evaluate-policy", "--paths", "0"),
     ("simulate", "--moments", "-1"),
     ("compare", "--threads", "0"),
+    ("evaluate-policy", "--config", {"paths": 2.5}),
+    ("evaluate-policy", "--config", {"dt": "x"}),
+    ("evaluate-policy", "--config", {"threads": True}),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
     config.write_text(json.dumps({"dt": 0}))
     argv = [config if a == "DT0_CONFIG" else a for a in argv]
+    for k, a in enumerate(argv):
+        if isinstance(a, dict):
+            argv[k] = tmp_path / "config.json"
+            argv[k].write_text(json.dumps(a))
     model = [] if argv[0] == "counterexample" else ["--model", n_model_file]
     assert run(*argv, *model, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -197,6 +204,21 @@ def test_invalid_model_exits_two_outside_validate(tmp_path, capsys, key, value):
         assert run(*argv, "--model", path, "--out", tmp_path / argv[0]) == 2
         assert "invalid model" in capsys.readouterr().err
     assert run("validate", "--model", path, "--out", tmp_path / "v") == 1
+
+
+def test_invalid_cost_spec_exits_two_outside_validate(tmp_path, capsys):
+    doc = json.loads((MODELS / "n_model.json").read_text())
+    doc["cost"]["c"] = [-1.0, 1.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("evaluate-policy", "--paths", "2"),
+                 ("solve-hjb", "--points", "5", "--boundary", "extrapolate")):
+        assert run(*argv, "--model", path, "--out", tmp_path / argv[0]) == 2
+        assert "queue weights must be nonnegative" in capsys.readouterr().err
+    assert run("validate", "--model", path, "--out", tmp_path / "v") == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert not report["ok"]
+    assert report["violations"] == ["cost spec: queue weights must be nonnegative"]
 
 
 def test_prelimit_and_compare(single_file, tmp_path):

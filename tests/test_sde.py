@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hwsched as hw
 from hwsched import sde
-from conftest import n_model, single_class_fixture, single_edge_model
+from conftest import n_model, nmodel_cost, single_class_fixture, single_edge_model, tree3_model
 
 
 def test_zero_noise_zero_drift_stays_at_origin():
@@ -208,3 +213,119 @@ def test_path_csv(tmp_path):
     lines = f.read_text().strip().splitlines()
     assert lines[0].split(",") == ["t", "x0", "u0", "v0", "W0"]
     assert len(lines) == 12
+
+
+def reference_chunk(model, x0s, policy, n_steps, dt, rng, cost):
+    """The Euler loop written out plainly from ``controls``, ``drift_batch``
+    and ``RunningCostSpec.evaluate``, one normal draw per step."""
+    X = np.array(x0s, dtype=float)
+    costs = np.zeros(len(X))
+    disc, decay = 1.0, np.exp(-model.gamma * dt)
+    for k in range(n_steps):
+        U, V = policy.controls(X, k * dt)
+        step_cost = cost.evaluate(X, U, V)
+        step_cost *= disc * dt
+        costs += step_cost
+        disc *= decay
+        b = hw.drift_batch(model, X, U, V)
+        b *= dt
+        X += b
+        X += rng.standard_normal(X.shape) * (model.r * np.sqrt(dt))
+    return costs, X
+
+
+class SignPriority:
+    """A policy with only ``controls``: queue on the class with the largest
+    state, idle at the station matching the sign of the first coordinate."""
+
+    def __init__(self, model):
+        self.I, self.J = model.classes, model.stations
+
+    def controls(self, X, t):
+        U = np.eye(self.I)[np.argmax(X, axis=1)]
+        V = np.eye(self.J)[(X[:, 0] > 0).astype(int) * (self.J - 1)]
+        return U, V
+
+
+def _models():
+    single, single_cost = single_class_fixture()
+    tree, tree_cost = tree3_model()
+    return {"n_model": (n_model(), nmodel_cost()), "tree3": (tree, tree_cost),
+            "single": (single, single_cost)}
+
+
+def _policy(kind, model, rng):
+    """``(policy, emits_vertices)`` of the given kind for ``model``."""
+    I, J = model.classes, model.stations
+    if kind == "uniform":
+        return hw.FixedControl(hw.ControlPoint.uniform(I, J)), False
+    if kind == "static":
+        i, j = model.edges[rng.integers(len(model.edges))]
+        return hw.StaticPriority.for_model(model, i, j), True
+    if kind == "switch":
+        return hw.SwitchingControl(model, 0.01, 1.0, seed=int(rng.integers(100))), True
+    if kind == "duck":
+        return SignPriority(model), True
+    grid = hw.Grid([-2.0] * I, [2.0] * I, rng.integers(3, 6, I))
+    u = np.eye(I)[rng.integers(0, I, grid.size)]
+    v = np.eye(J)[rng.integers(0, J, grid.size)]
+    blend = kind == "blend"
+    return hw.GridMarkov(hw.PolicyField(grid=grid, u=u, v=v), blend=blend), not blend
+
+
+@settings(max_examples=120, deadline=None)
+@given(model_name=st.sampled_from(["n_model", "tree3", "single"]),
+       kind=st.sampled_from(["uniform", "static", "switch", "grid", "blend", "duck"]),
+       convex=st.booleans(), rows=st.integers(1, 40), n_steps=st.integers(0, 25),
+       seed=st.integers(0, 2**16))
+def test_run_chunk_matches_reference_euler(model_name, kind, convex, rows, n_steps, seed):
+    model, cost = _models()[model_name]
+    if convex:
+        cost = hw.RunningCostSpec(c=cost.c, d=cost.d, p=2.0, q=2.0, kappa=0.4, m=1.5,
+                                  constant=0.1)
+    rng = np.random.default_rng(seed)
+    policy, vertices = _policy(kind, model, rng)
+    x0s = rng.uniform(-3.0, 3.0, (rows, model.classes))
+    dt = 1e-2
+    costs, snaps = sde._run_chunk(model, x0s, policy, n_steps, dt, np.random.default_rng(seed),
+                                  cost, [n_steps])
+    ref_costs, ref_x = reference_chunk(model, x0s, policy, n_steps, dt,
+                                       np.random.default_rng(seed), cost)
+    if vertices:
+        assert costs.tobytes() == ref_costs.tobytes()
+        assert snaps[0].tobytes() == ref_x.tobytes()
+    else:
+        np.testing.assert_allclose(costs, ref_costs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(snaps[0], ref_x, rtol=1e-12, atol=1e-13)
+
+
+def test_table_controls_are_table_rows():
+    model = n_model()
+    for policy in (hw.StaticPriority.for_model(model, 1, 0),
+                   hw.SwitchingControl(model, 0.5, 2.0, seed=4)):
+        U, V = policy.controls(np.zeros((3, 2)), 0.7)
+        k = policy.index(np.zeros((3, 2)), 0.7)
+        assert U.shape == (3, 2) and V.shape == (3, 2)
+        assert (U == policy.table[0][k]).all() and (V == policy.table[1][k]).all()
+
+
+def test_grid_markov_index_is_nearest_clipped_point():
+    rng = np.random.default_rng(3)
+    grid = hw.Grid([-2.0, -1.0, -3.0], [2.0, 3.0, 1.0], [3, 4, 6])
+    field = hw.PolicyField(grid=grid, u=np.ones((grid.size, 3)) / 3, v=np.ones((grid.size, 2)) / 2)
+    X = rng.uniform(-5.0, 5.0, (400, 3))
+    near = np.rint(np.clip((X - grid.lows) / grid.spacing, 0, grid.counts - 1)).astype(int)
+    want = np.ravel_multi_index(near.T, tuple(grid.counts))
+    policy = hw.GridMarkov(field)
+    assert (policy.index(X, 0.0) == want).all()
+    assert (policy.index(np.ascontiguousarray(X.T).T, 0.0) == want).all()
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.signal and scipy.integrate are imported where they are used, so
+    # `import hwsched` stays quick
+    code = ("import sys, hwsched, hwsched.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120)
+    assert out.stdout.strip() == "[]"
