@@ -96,15 +96,27 @@ def _parse_policy(spec, model, horizon, seed):
         if not 0.0 < period < np.inf:
             raise CliError(f"switch period must be positive and finite: {spec!r}")
         return sde.SwitchingControl(model, period, horizon, seed=seed)
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise CliError(f"policy file not found: {spec}")
-    field, header = hjb.load_field(path)
-    if header.get("kind") != "policy":
-        raise CliError(f"{spec} is not a policy field file")
+    return sde.GridMarkov(_load_field(spec, "policy", model))
+
+
+def _load_field(path, kind, model):
+    """A field file of the given kind whose grid and columns fit ``model``."""
+    try:
+        field, header = hjb.load_field(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot read field file {path}: {exc!r}") from exc
+    if header.get("kind") != kind:
+        raise CliError(f"{path} is not a {kind} field file")
+    if field.grid.dim != model.classes:
+        raise CliError(f"{path} has a {field.grid.dim}-D grid; the model has {model.classes} classes")
+    if kind == "policy" and (field.u.shape[1], field.v.shape[1]) != (model.classes, model.stations):
+        raise CliError(f"{path} has {field.u.shape[1]} u and {field.v.shape[1]} v columns; "
+                       f"the model has {model.classes} classes and {model.stations} stations")
     if header.get("model_hash") != model_mod.model_hash(model):
-        print("warning: policy file was built for a different model", file=sys.stderr)
-    return sde.GridMarkov(field)
+        print(f"warning: {path} was built for a different model", file=sys.stderr)
+    return field
 
 
 def _manifest(out: Path, command: str, params: dict):
@@ -177,10 +189,13 @@ def cmd_solve_hjb(args, out):
     model, cost = _load_model(args.model)
     cost = _require_cost(cost)
     grid = hjb.default_grid(model, points_per_dim=args.points, radius=args.radius)
-    sol = hjb.solve_hjb(
-        model, cost, grid, boundary=args.boundary, tol=args.tol,
-        boundary_paths=args.boundary_paths, seed=args.seed,
-    )
+    try:
+        sol = hjb.solve_hjb(
+            model, cost, grid, boundary=args.boundary, tol=args.tol,
+            boundary_paths=args.boundary_paths, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     hjb.save_field(sol.value, model, out / "value.field")
     _write_json(out / "solve.json", {
         "converged": sol.report.converged,
@@ -200,9 +215,7 @@ def cmd_extract_policy(args, out):
     cost = _require_cost(cost)
     if not args.value or not Path(args.value).exists():
         raise CliError("--value must point to a value field file")
-    field, header = hjb.load_field(args.value)
-    if header.get("kind") != "value":
-        raise CliError(f"{args.value} is not a value field file")
+    field = _load_field(args.value, "value", model)
     policy = hjb.extract_policy(field, model, cost)
     hjb.save_field(policy, model, out / "policy.field")
     print(f"policy extracted on {field.grid.size} grid points")

@@ -4,7 +4,8 @@ On a tree, prescribing every class total and every station total determines
 the edge flows uniquely (provided the totals balance).  The solve walks the
 leaf-peeling order, so it is exact up to float arithmetic.  The same linear
 map, tabulated once per model, powers the vectorized drift evaluations used
-by the simulators and the grid solver.
+by the simulators and the grid solver; ``_columns`` turns a table of control
+rows into the drift and cost coefficient columns both of them read.
 """
 
 from __future__ import annotations
@@ -173,3 +174,25 @@ def drift_batch(model: TreeModel, X: np.ndarray, U: np.ndarray, V: np.ndarray) -
     if model.ell.any():
         out += model.ell
     return out
+
+
+def _columns(model: TreeModel, cost, U: np.ndarray, V: np.ndarray):
+    """Drift and cost coefficients of the control rows ``U`` ``(n, I)`` and ``V`` ``(n, J)``.
+
+    The drift is ``-X Rx^T + s^+ (U Rx^T - theta U) + s^- (V Rb^T) + ell`` and
+    the cost ``s^+^p sum c u^p + s^-^q sum d v^q + kappa |x|^m + constant``,
+    so each row enters through two coefficient columns.  Returns ``(Q, Z)``,
+    each ``(I + 1, n)``: ``Q[:I]`` is the queue-side drift and ``Q[I]`` the
+    queue cost weight, ``Z[:I]`` and ``Z[I]`` the idle-side ones (zero
+    weights when ``cost`` is None).  The float operations are those of
+    :func:`drift_batch` and ``RunningCostSpec.evaluate`` on the same rows.
+    """
+    RxT, _, RbT = _drift_maps(model)
+    queue = U @ RxT
+    if model.theta.any():
+        queue = queue - model.theta * U
+    cu = dv = np.zeros(len(U))
+    if cost is not None:
+        cu = U @ cost.c if cost.p == 1.0 else (cost.c * U**cost.p).sum(axis=-1)
+        dv = V @ cost.d if cost.q == 1.0 else (cost.d * V**cost.q).sum(axis=-1)
+    return np.column_stack([queue, cu]).T, np.column_stack([V @ RbT, dv]).T

@@ -3,10 +3,21 @@
 The equation ``(1/2) sum_i r_i^2 f_xixi + min_U [b(x,U) . Df + L(x,U)]
 - gamma f = 0`` is discretized with central second differences and upwind
 one-sided first differences chosen per sign of the minimizing drift, which
-keeps the scheme monotone.  The minimization over the control simplex pair
-is exact vertex enumeration when the objective is affine in the control
-(the drift always is; the cost is when its exponents are one) and projected
-descent from the best vertex otherwise.
+keeps the scheme monotone (the Markov-chain approximation of Kushner and
+Dupuis).  The minimization over the control simplex pair is exact vertex
+enumeration when the objective is affine in the control (the drift always
+is; the cost is when its exponents are one) and projected descent from the
+best vertex otherwise.
+
+The enumeration needs ``I + J - 1`` candidate rows, not all ``I J`` vertex
+pairs: with the imbalance ``s``, the drift and the cost read ``u`` only
+through ``s^+`` and ``v`` only through ``s^-``, so at any state one side is
+multiplied by an exact zero.  The rows ``(e_i, e_0)`` for every class and
+``(e_0, e_j)`` for every station ``j >= 1`` therefore reach every value of
+the pairs, in floats, and the first minimal row is the lexicographically
+first minimal pair: the tie-break is the one of the full search.  Their
+drift and cost come from ``flows._columns``, the coefficient columns the
+Euler loop uses.
 
 The box truncates an unbounded problem, so boundary data is a modeling
 choice: either Dirichlet values simulated under a static-priority policy
@@ -26,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from . import sde
-from .flows import _drift_maps, drift_batch
+from .flows import _columns, _drift_maps, drift_batch
 from .model import ControlPoint, RunningCostSpec, TreeModel, model_hash
 from .sde import StaticPriority, default_priority_edge
 
@@ -96,6 +107,21 @@ class Grid:
         c = self.coords
         return np.flatnonzero(((c == 0) | (c == self.counts - 1)).any(axis=1))
 
+    def interpolate(self, values: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation at states ``X`` of the grid-point
+        ``values``, ``(size,)`` or ``(size, K)``; states outside the box are
+        clipped onto it."""
+        rel = np.clip((np.asarray(X, dtype=float) - self.lows) / self.spacing, 0.0, self.counts - 1.0)
+        lo = np.minimum(np.floor(rel).astype(int), self.counts - 2)
+        frac = rel - lo
+        out = np.zeros((len(rel),) + values.shape[1:])
+        for corner in range(1 << self.dim):
+            offs = np.array([(corner >> d) & 1 for d in range(self.dim)])
+            weight = np.prod(np.where(offs, frac, 1.0 - frac), axis=1)
+            flat = ((lo + offs) * self.strides).sum(axis=1)
+            out += weight.reshape((-1,) + (1,) * (values.ndim - 1)) * values[flat]
+        return out
+
     def to_dict(self) -> dict:
         return {
             "lows": self.lows.tolist(),
@@ -133,14 +159,35 @@ class PolicyField:
 # -- Hamiltonian minimization ------------------------------------------------
 
 
-def control_vertices(model: TreeModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vertex pairs of the control simplices in lexicographic order."""
-    out = []
-    for i in range(model.classes):
-        for j in range(model.stations):
-            pt = ControlPoint.vertex(i, j, model.classes, model.stations)
-            out.append((pt.u, pt.v))
-    return out
+def _candidates(model: TreeModel, cost: RunningCostSpec, X: np.ndarray):
+    """The ``K = I + J - 1`` candidate vertex controls and their drift and cost.
+
+    Returns ``(Ut, Vt, b, L)``: the table, rows ``(e_i, e_0)`` for every class
+    ``i`` then ``(e_0, e_j)`` for every station ``j >= 1``; the drift ``(K, N,
+    I)`` and the running cost ``(K, N)`` of each row at the states ``X``.  The
+    floats are those of ``drift_batch`` and ``RunningCostSpec.evaluate`` on
+    the same row tiled over ``X``.
+    """
+    I, J = model.classes, model.stations
+    Ut = np.eye(I)[np.r_[np.arange(I), np.zeros(J - 1, dtype=int)]]
+    Vt = np.eye(J)[np.r_[np.zeros(I - 1, dtype=int), np.arange(J)]]
+    Q, Z = _columns(model, cost, Ut, Vt)
+    s = X.sum(axis=1)
+    pos = np.maximum(s, 0.0)
+    neg = pos - s
+    b = X @ _drift_maps(model)[1] + pos[:, None] * Q[:I].T[:, None, :]
+    b += neg[:, None] * Z[:I].T[:, None, :]
+    if model.ell.any():
+        b += model.ell
+    L = np.full((len(Ut), len(X)), cost.constant)
+    if cost.c.any():
+        L += (pos if cost.p == 1.0 else pos**cost.p) * Q[I][:, None]
+    if cost.d.any():
+        L += (neg if cost.q == 1.0 else neg**cost.q) * Z[I][:, None]
+    if cost.kappa:
+        norm = np.abs(X).sum(axis=1)
+        L += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
+    return Ut, Vt, b, L
 
 
 def _project_simplex(T: np.ndarray) -> np.ndarray:
@@ -173,24 +220,16 @@ def hamiltonian_field(model: TreeModel, cost: RunningCostSpec, X: np.ndarray, P:
 
     Returns ``(H, U, V)`` for states ``X`` and gradients ``P`` of shape
     ``(N, I)``.  Ties between vertices break to the smallest class index,
-    then the smallest station index.
+    then the smallest station index: the first minimal candidate row (see
+    the module docstring) is the lexicographically first minimal pair.
     """
     X = np.asarray(X, dtype=float)
     P = np.asarray(P, dtype=float)
-    verts = control_vertices(model)
-    N = len(X)
-    vals = np.empty((len(verts), N))
-    for c, (u, v) in enumerate(verts):
-        U = np.tile(u, (N, 1))
-        V = np.tile(v, (N, 1))
-        vals[c] = (drift_batch(model, X, U, V) * P).sum(axis=1) + cost.evaluate(X, U, V)
+    Ut, Vt, b, L = _candidates(model, cost, X)
+    vals = (b * P).sum(axis=-1) + L
     best = vals.argmin(axis=0)
-    H = vals[best, np.arange(N)]
-    J = model.stations
-    U = np.zeros((N, model.classes))
-    V = np.zeros((N, J))
-    U[np.arange(N), best // J] = 1.0
-    V[np.arange(N), best % J] = 1.0
+    H = vals[best, np.arange(len(X))]
+    U, V = Ut[best], Vt[best]
 
     if not cost.affine_in_control:
         s = X.sum(axis=1)
@@ -258,25 +297,14 @@ class HJBSolution:
 
 
 def _candidate_tables(model, cost, grid):
-    """Upwind weights, costs, and denominators per control vertex at the
-    interior points."""
-    interior = grid.interior
-    Xi = grid.points[interior]
+    """Upwind weights ``(K, n, I)``, costs and denominators ``(K, n)`` per
+    candidate vertex control at the ``n`` interior points."""
     h = grid.spacing
     a = 0.5 * model.r**2
-    verts = control_vertices(model)
-    WP, WM, LV, DEN = [], [], [], []
-    for u, v in verts:
-        U = np.tile(u, (len(Xi), 1))
-        V = np.tile(v, (len(Xi), 1))
-        b = drift_batch(model, Xi, U, V)
-        wp = (a + h * np.maximum(b, 0.0)) / h**2
-        wm = (a + h * np.maximum(-b, 0.0)) / h**2
-        WP.append(wp)
-        WM.append(wm)
-        LV.append(cost.evaluate(Xi, U, V))
-        DEN.append(model.gamma + wp.sum(axis=1) + wm.sum(axis=1))
-    return np.stack(WP), np.stack(WM), np.stack(LV), np.stack(DEN)
+    _, _, b, LV = _candidates(model, cost, grid.points[grid.interior])
+    WP = (a + h * np.maximum(b, 0.0)) / h**2
+    WM = (a + h * np.maximum(-b, 0.0)) / h**2
+    return WP, WM, LV, model.gamma + WP.sum(axis=-1) + WM.sum(axis=-1)
 
 
 def _boundary_values_mc(model, cost, grid, n_paths, dt, seed, edge):
@@ -328,7 +356,8 @@ def solve_hjb(
     boundary:
         ``"static-mc"`` simulates the static-priority cost at every boundary
         point and imposes it as Dirichlet data; ``"extrapolate"`` closes the
-        box with second-derivative-zero extrapolation.
+        box with second-derivative-zero extrapolation and needs at least 4
+        points per dimension.
     method:
         ``"policy"`` alternates exact evaluation of the current control
         field (a sparse solve) with a monotone improvement sweep and is the
@@ -354,90 +383,67 @@ def solve_hjb(
         raise ValueError(f"unknown method {method!r}")
     if boundary not in ("static-mc", "extrapolate"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
+    if boundary == "extrapolate" and grid.counts.min() < 4:
+        # on 3 points the two extrapolation rows of a line coincide
+        raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
     if max_iter is None:
         max_iter = 100 if method == "policy" else 200_000
 
     N = grid.size
     interior = grid.interior
     WP, WM, LV, DEN = _candidate_tables(model, cost, grid)
-    nC = len(WP)
-    nb_p = interior[:, None] + grid.strides[None, :]
-    nb_m = interior[:, None] - grid.strides[None, :]
+    nb_p = interior[:, None] + grid.strides
+    nb_m = interior[:, None] - grid.strides
 
+    # boundary rows B f = g: Dirichlet identity rows with the simulated data,
+    # or extrapolation rows with zero data
     edge = None
-    f = np.zeros(N)
+    g = np.zeros(N)
     if boundary == "static-mc":
         edge = default_priority_edge(model)
-        bvals = _boundary_values_mc(
+        g[grid.boundary] = _boundary_values_mc(
             model, cost, grid, boundary_paths, boundary_dt, seed, edge
         )
-        f[grid.boundary] = bvals
-
+        b_rows = b_cols = grid.boundary
+        b_data = np.ones(len(grid.boundary))
+    else:
+        b_rows, b_cols, b_data = _extrapolation_rows(grid)
+    f = g.copy()
     sel = np.arange(len(interior))
 
     def candidates(fcur):
-        stacked = np.empty((nC, len(interior)))
-        for c in range(nC):
-            num = (WP[c] * fcur[nb_p]).sum(axis=1) + (WM[c] * fcur[nb_m]).sum(axis=1) + LV[c]
-            stacked[c] = num / DEN[c]
-        return stacked
+        return ((WP * fcur[nb_p]).sum(axis=-1) + (WM * fcur[nb_m]).sum(axis=-1) + LV) / DEN
 
-    def improve(fcur, pol):
-        stacked = candidates(fcur)
-        best = stacked.argmin(axis=0)
-        tie = TIE_RTOL * max(1.0, float(np.abs(fcur).max()))
-        return np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
-
-    if boundary == "extrapolate":
-        ext_rows, ext_cols, ext_data = _extrapolation_rows(grid)
     history = []
     if method == "value":
-        if boundary == "extrapolate":
-            # residual of the extrapolation rows; zero at interior points
-            ext = sp.csr_matrix((ext_data, (ext_rows, ext_cols)), shape=(N, N))
+        B = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(N, N))
         it = 0
         delta = np.inf
         while it < max_iter and delta > tol:
             fn = f.copy()
             fn[interior] = candidates(f).min(axis=0)
-            if boundary == "extrapolate":
-                fn -= ext @ fn
+            fn -= B @ fn - g
             delta = float(np.abs(fn - f).max())
             f = fn
             it += 1
         converged = delta <= tol
         iterations = it
     else:
+        # interior rows: the diagonal, then every +e_d and every -e_d neighbour
+        rows = np.concatenate([np.tile(interior, 1 + 2 * grid.dim), b_rows])
+        cols = np.concatenate([interior, nb_p.T.ravel(), nb_m.T.ravel(), b_cols])
         pol = LV.argmin(axis=0)
         delta = np.inf
         converged = False
         iterations = 0
         for it in range(1, max_iter + 1):
-            wp = WP[pol, sel]
-            wm = WM[pol, sel]
-            rows = [interior, *([interior] * (2 * grid.dim))]
-            cols = [interior]
-            data = [DEN[pol, sel]]
-            for d in range(grid.dim):
-                cols.append(nb_p[:, d])
-                data.append(-wp[:, d])
-            for d in range(grid.dim):
-                cols.append(nb_m[:, d])
-                data.append(-wm[:, d])
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            data = np.concatenate(data)
+            data = np.concatenate(
+                [DEN[pol, sel], -WP[pol, sel].T.ravel(), -WM[pol, sel].T.ravel(), b_data]
+            )
             rhs = np.zeros(N)
             rhs[interior] = LV[pol, sel]
-            if boundary == "static-mc":
-                rows = np.concatenate([rows, grid.boundary])
-                cols = np.concatenate([cols, grid.boundary])
-                data = np.concatenate([data, np.ones(len(grid.boundary))])
+            if edge is not None:
                 rhs[grid.boundary] = f[grid.boundary]
-            else:
-                rows = np.concatenate([rows, ext_rows])
-                cols = np.concatenate([cols, ext_cols])
-                data = np.concatenate([data, ext_data])
             A = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
             t0 = time.perf_counter()
             fn = spsolve(A, rhs)
@@ -445,7 +451,10 @@ def solve_hjb(
             delta = float(np.abs(fn - f).max())
             f = fn
             iterations = it
-            new_pol = improve(f, pol)
+            stacked = candidates(f)
+            best = stacked.argmin(axis=0)
+            tie = TIE_RTOL * max(1.0, float(np.abs(f).max()))
+            new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
             changes = int((new_pol != pol).sum())
             history.append(HJBIteration(delta, changes, solve_s))
             if delta <= tol and changes == 0:
@@ -476,20 +485,7 @@ def extract_policy(field: ValueField, model: TreeModel, cost: RunningCostSpec) -
     selection deterministic.
     """
     grid = field.grid
-    f = field.values
-    N = grid.size
-    Df = np.zeros((N, grid.dim))
-    c = grid.coords
-    for d in range(grid.dim):
-        s = grid.strides[d]
-        h = grid.spacing[d]
-        lo = c[:, d] == 0
-        hi = c[:, d] == grid.counts[d] - 1
-        mid = ~(lo | hi)
-        idx = np.arange(N)
-        Df[mid, d] = (f[idx[mid] + s] - f[idx[mid] - s]) / (2 * h)
-        Df[lo, d] = (f[idx[lo] + s] - f[idx[lo]]) / h
-        Df[hi, d] = (f[idx[hi]] - f[idx[hi] - s]) / h
+    Df = np.stack(np.gradient(field.reshape(), *grid.spacing), axis=-1).reshape(grid.size, -1)
     _, U, V = hamiltonian_field(model, cost, grid.points, Df)
     return PolicyField(grid=grid, u=U, v=V)
 
@@ -524,18 +520,7 @@ def pde_residual(
 
 def field_at(field: ValueField, X: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of a value field at arbitrary states."""
-    grid = field.grid
-    rel = (np.asarray(X, dtype=float) - grid.lows) / grid.spacing
-    rel = np.clip(rel, 0.0, grid.counts - 1.0)
-    lo = np.minimum(np.floor(rel).astype(int), grid.counts - 2)
-    frac = rel - lo
-    out = np.zeros(len(X))
-    for corner in range(1 << grid.dim):
-        offs = np.array([(corner >> d) & 1 for d in range(grid.dim)])
-        weight = np.prod(np.where(offs, frac, 1.0 - frac), axis=1)
-        flat = ((lo + offs) * grid.strides).sum(axis=1)
-        out += weight * field.values[flat]
-    return out
+    return field.grid.interpolate(field.values, X)
 
 
 def box_sensitivity(

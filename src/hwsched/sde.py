@@ -10,7 +10,8 @@ returns an int (one row for every state) or an integer array (one row per
 state); ``controls(X, t)`` is the public view of the same choice.  With the
 imbalance ``s`` the drift ``-X Rx^T + s^+ (U Rx^T - theta U) + s^- V Rb^T +
 ell`` and the running cost are affine in one coefficient column per row,
-so the loop builds those columns once and a step gathers the picked ones.
+so the loop builds those columns once (``flows._columns``, which the grid
+solver shares) and a step gathers the picked ones.
 A policy with ``table = None`` or with only ``controls`` (a blending
 ``GridMarkov``, user policies) is simulated by the same loop, its rows
 turned into columns at each step.  Either way the floats are those of
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # drift_batch stays importable here: it is the batch form of what _columns tabulates
-from .flows import _drift_maps, drift_batch  # noqa: F401
+from .flows import _columns, _drift_maps, drift_batch  # noqa: F401
 from .model import ControlPoint, RunningCostSpec, TreeModel
 
 # state rows per simulation chunk; fixed so runs reproduce across workers
@@ -118,13 +119,13 @@ class SwitchingControl:
 class GridMarkov:
     """Markov policy read off a grid-sampled policy field.
 
-    Accepts any object with ``grid``, ``u`` and ``v`` attributes (see the
-    grid solver module).  The default lookup is nearest-neighbor: the table
-    is the field's rows and ``index`` the flat index of the nearest grid
-    point, with states outside the box clipped onto it.  Controls at
-    neighboring grid points may be distant vertices, so blending them is
-    only meaningful for costs affine in the control and is opt-in; a
-    blending policy has no table.
+    Accepts any object with a ``Grid`` ``grid`` and ``u``, ``v`` attributes
+    (a ``PolicyField`` of the grid solver module).  The default lookup is
+    nearest-neighbor: the table is the field's rows and ``index`` the flat
+    index of the nearest grid point, with states outside the box clipped
+    onto it.  Controls at neighboring grid points may be distant vertices,
+    so blending them (``Grid.interpolate``) is only meaningful for costs
+    affine in the control and is opt-in; a blending policy has no table.
     """
 
     def __init__(self, field, blend: bool = False):
@@ -133,11 +134,12 @@ class GridMarkov:
         g = field.grid
         self._lows = g.lows
         self._spacing = g.spacing
-        self._counts = g.counts
+        self._counts = g.counts  # unused here; perfbench/layers.py reads it
         # flat (C-order) index of grid point n is n @ _strides
         self._strides = np.append(np.cumprod(g.counts[:0:-1])[::-1], 1).astype(float)
         self._top = g.counts - 1.0
         self.table = None if blend else (field.u, field.v)
+        self._blend_rows = np.column_stack([field.u, field.v]) if blend else None
 
     def _clipped_coords(self, X: np.ndarray) -> np.ndarray:
         rel = (X - self._lows) / self._spacing
@@ -152,20 +154,8 @@ class GridMarkov:
     def controls(self, X: np.ndarray, t: float):
         if not self.blend:
             return _table_controls(self, X, t)
-        rel = self._clipped_coords(np.asarray(X, dtype=float))
-        lo = np.floor(rel).astype(int)
-        lo = np.minimum(lo, self._counts - 2)
-        frac = rel - lo
-        dims = len(self._counts)
-        u = np.zeros((len(X), self.field.u.shape[1]))
-        v = np.zeros((len(X), self.field.v.shape[1]))
-        for corner in range(1 << dims):
-            offs = np.array([(corner >> d) & 1 for d in range(dims)])
-            weight = np.prod(np.where(offs, frac, 1.0 - frac), axis=1)
-            flat = ((lo + offs) @ self._strides).astype(np.intp)
-            u += weight[:, None] * self.field.u[flat]
-            v += weight[:, None] * self.field.v[flat]
-        return u, v
+        uv = self.field.grid.interpolate(self._blend_rows, X)
+        return np.hsplit(uv, [self.field.u.shape[1]])
 
 
 # -- path simulation ---------------------------------------------------------
@@ -219,28 +209,6 @@ def simulate_path(
     noise[1:] = np.sqrt(dt) * xi
     np.cumsum(noise, axis=0, out=noise)
     return SimPath(dt=dt, x=snaps.reshape(n + 1, I), u=u, v=v, noise=noise)
-
-
-def _columns(model, cost, U, V):
-    """Drift and cost coefficients of the control rows ``U`` ``(n, I)`` and ``V`` ``(n, J)``.
-
-    The drift is ``-X Rx^T + s^+ (U Rx^T - theta U) + s^- (V Rb^T) + ell`` and
-    the cost ``s^+^p sum c u^p + s^-^q sum d v^q + kappa |x|^m + constant``,
-    so each row enters a step through two coefficient columns.  Returns
-    ``(Q, Z)``, each ``(I + 1, n)``: ``Q[:I]`` is the queue-side drift and
-    ``Q[I]`` the queue cost weight, ``Z[:I]`` and ``Z[I]`` the idle-side ones
-    (zero weights when ``cost`` is None).  The float operations are those of
-    ``drift_batch`` and ``RunningCostSpec.evaluate`` on the same rows.
-    """
-    RxT, _, RbT = _drift_maps(model)
-    queue = U @ RxT
-    if model.theta.any():
-        queue = queue - model.theta * U
-    cu = dv = np.zeros(len(U))
-    if cost is not None:
-        cu = U @ cost.c if cost.p == 1.0 else (cost.c * U**cost.p).sum(axis=-1)
-        dv = V @ cost.d if cost.q == 1.0 else (cost.d * V**cost.q).sum(axis=-1)
-    return np.column_stack([queue, cu]).T, np.column_stack([V @ RbT, dv]).T
 
 
 def _row_sum(A):

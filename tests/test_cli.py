@@ -156,6 +156,28 @@ def test_integral_residual_artifacts(n_model_file, tmp_path):
     assert doc["pass"]
 
 
+FIELD_FILES = ("NM_VALUE", "NM_POLICY", "NO_GRID", "SHORT", "BAD_COLUMNS")
+
+
+def _field_files(model_file, tmp_path):
+    """n_model value and policy fields on a 5 x 5 grid, and broken copies:
+    no grid in the header, a missing row, and 3 u columns with 1 v column."""
+    model, cost = hw.load_model(model_file)
+    sol = hw.solve_hjb(model, cost, hw.default_grid(model, 5), boundary="extrapolate")
+    files = {name: tmp_path / f"{name}.field" for name in FIELD_FILES}
+    hw.save_field(sol.value, model, files["NM_VALUE"])
+    hw.save_field(hw.extract_policy(sol.value, model, cost), model, files["NM_POLICY"])
+    header, *rows = files["NM_POLICY"].read_text().splitlines()
+    doc = json.loads(header)
+    for name, head, body in (
+        ("NO_GRID", {k: v for k, v in doc.items() if k != "grid"}, rows),
+        ("SHORT", doc, rows[:-1]),
+        ("BAD_COLUMNS", {**doc, "columns": ["u0", "u1", "u2", "v0"]}, rows),
+    ):
+        files[name].write_text("\n".join([json.dumps(head), *body]) + "\n")
+    return files
+
+
 @pytest.mark.parametrize("argv", [
     ("det-run", "--policy", "static:a,b"),
     ("det-run", "--policy", "static:0,7"),
@@ -178,6 +200,12 @@ def test_integral_residual_artifacts(n_model_file, tmp_path):
     ("evaluate-policy", "--config", {"paths": 2.5}),
     ("evaluate-policy", "--config", {"dt": "x"}),
     ("evaluate-policy", "--config", {"threads": True}),
+    ("solve-hjb", "--points", "3", "--boundary", "extrapolate"),
+    ("evaluate-policy", "--policy", "NM_POLICY", "--model", MODELS / "single_class.json"),
+    ("extract-policy", "--value", "NM_VALUE", "--model", MODELS / "single_class.json"),
+    ("extract-policy", "--value", "NO_GRID"),
+    ("evaluate-policy", "--policy", "SHORT", "--paths", "2"),
+    ("evaluate-policy", "--policy", "BAD_COLUMNS", "--paths", "2"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -187,7 +215,10 @@ def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
         if isinstance(a, dict):
             argv[k] = tmp_path / "config.json"
             argv[k].write_text(json.dumps(a))
-    model = [] if argv[0] == "counterexample" else ["--model", n_model_file]
+    if any(a in FIELD_FILES for a in argv):
+        files = _field_files(n_model_file, tmp_path)
+        argv = [files.get(a, a) for a in argv]
+    model = [] if argv[0] == "counterexample" or "--model" in argv else ["--model", n_model_file]
     assert run(*argv, *model, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 import hwsched as hw
-from conftest import n_model, nmodel_cost, single_class_fixture, tree3_model
+from conftest import n_model, nmodel_cost, random_tree_model, single_class_fixture, tree3_model
 
 
 def two_class_one_station(c=(1.0, 1.0), theta=(0.0, 0.0), mu=(1.0, 1.0)):
@@ -70,6 +71,45 @@ def test_hamiltonian_vertex_matches_dense_simplex_search(rng):
         assert H <= best + 1e-9
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30))
+def test_candidate_rows_match_full_vertex_search(seed, rows):
+    rng = np.random.default_rng(seed)
+    model = random_tree_model(rng, max_nodes=9)
+    I, J = model.classes, model.stations
+    cost = hw.RunningCostSpec(
+        c=rng.uniform(0.0, 3.0, I) * (rng.random(I) < 0.8),
+        d=rng.uniform(0.0, 3.0, J) * (rng.random(J) < 0.8),
+        kappa=rng.choice([0.0, 0.7]), constant=rng.choice([0.0, 0.2]),
+    )
+    X = rng.normal(0.0, 2.0, (rows, I))
+    P = rng.normal(0.0, 3.0, (rows, I))
+    # rows with an imbalance of exactly zero: the origin, or +a and -a
+    for k in np.flatnonzero(rng.random(rows) < 0.3):
+        X[k] = 0.0
+        if I > 1:
+            i, j = rng.choice(I, 2, replace=False)
+            X[k, i] = rng.normal(0.0, 2.0)
+            X[k, j] = -X[k, i]
+    P[rng.random(rows) < 0.2] = 0.0
+    H, U, V = hw.hamiltonian_field(model, cost, X, P)
+
+    # reference: every vertex pair in lexicographic order, flat argmin
+    vals = np.empty((I * J, rows))
+    for i in range(I):
+        for j in range(J):
+            Uv = np.zeros((rows, I))
+            Vv = np.zeros((rows, J))
+            Uv[:, i] = 1.0
+            Vv[:, j] = 1.0
+            vals[i * J + j] = (hw.drift_batch(model, X, Uv, Vv) * P).sum(axis=1)
+            vals[i * J + j] += cost.evaluate(X, Uv, Vv)
+    best = vals.argmin(axis=0)
+    assert H.tobytes() == vals[best, np.arange(rows)].tobytes()
+    assert U.tobytes() == np.eye(I)[best // J].tobytes()
+    assert V.tobytes() == np.eye(J)[best % J].tobytes()
+
+
 def test_hamiltonian_convex_cost_refinement(rng):
     model = n_model()
     cost = hw.RunningCostSpec(c=[2.0, 1.0], d=[1.0, 3.0], p=2.0, q=2.0)
@@ -90,6 +130,14 @@ def test_hamiltonian_convex_cost_refinement(rng):
                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
             best = min(best, res.fun)
         assert H <= best + 1e-5
+
+
+def test_extrapolation_needs_four_points():
+    model = n_model()
+    with pytest.raises(ValueError, match="at least 4 points"):
+        hw.solve_hjb(model, nmodel_cost(), hw.default_grid(model, 3), boundary="extrapolate")
+    sol = hw.solve_hjb(model, nmodel_cost(), hw.default_grid(model, 4), boundary="extrapolate")
+    assert sol.report.converged and np.isfinite(sol.value.values).all()
 
 
 def test_constant_cost_exact_solution():
