@@ -24,8 +24,21 @@ class CliError(Exception):
     """Invalid input or configuration; exits with status 2."""
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None: JSON has no NaN
+    or infinity."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    return obj
+
+
 def _write_json(path, doc):
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
+    text = json.dumps(_finite(doc), indent=2, sort_keys=True, default=float, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _load_model(path, validate=True):

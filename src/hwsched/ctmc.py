@@ -2,9 +2,10 @@
 
 The n-th system has Poisson arrivals, exponential services and abandonment,
 and a preemptive assignment rule that recomputes the in-service matrix as a
-pure function of the headcounts after every event.  Emitted paths are the
-centered, root-n-scaled processes, directly comparable with the diffusion
-simulator output.
+pure function of the headcounts after every event.  All replications of a
+run step together in one event loop, each on its own clock and random
+stream.  Emitted paths are the centered, root-n-scaled processes, directly
+comparable with the diffusion simulator output.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flows import lift_matrix
 from .model import ControlPoint, TreeModel
 
 
@@ -111,29 +113,50 @@ def _augment_work(model: TreeModel, X, Psi, caps):
                 Psi[path[k + 2][1], j] -= delta
 
 
-class GreedyPriority:
-    """Preemptive greedy assignment concentrating queueing on one class and
-    idleness at one station, with a rebalancing pass that moves service
-    through the tree whenever queued work could fill idle capacity."""
+class _TargetRule:
+    """An assignment rule that names queue and idle targets for each state.
+
+    The aggregate queue ``s^+`` (or idleness ``s^-``) is forced by the
+    headcounts; a rule's ``_targets`` splits it across classes (stations),
+    and one exact integer contraction with the lifting map turns the targets
+    into the in-service matrix.  Rows whose lift has a negative entry
+    (targets infeasible on the tree) take the greedy fill instead.
+    """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, queue_class: int = 0,
                  idle_station: int = 0):
         self.model = model
         self.caps = scaling.server_counts(model)
+        self.queue_class = queue_class
+        self.idle_station = idle_station
         self.class_order = [i for i in range(model.classes) if i != queue_class] + [queue_class]
         self.station_order = [j for j in range(model.stations) if j != idle_station]
         self.station_order.append(idle_station)
+        # the lifting map has entries 0 and +-1, so the integer map is exact
+        self._lift = lift_matrix(model).reshape(model.classes * model.stations, -1).T.astype(int)
 
-    def assign(self, X: np.ndarray) -> np.ndarray:
+    def assign_batch(self, X: np.ndarray) -> np.ndarray:
+        """In-service counts ``Psi[R, I, J]`` for the headcounts ``X[R, I]``."""
+        X = np.asarray(X)
+        s = X.sum(axis=1) - self.caps.sum()
+        Y, Z = self._targets(X, np.maximum(s, 0), np.maximum(-s, 0))
+        Psi = (np.concatenate([X - Y, self.caps - Z], axis=1) @ self._lift).reshape(
+            len(X), self.model.classes, self.model.stations)
+        if Psi.min(initial=0) < 0:
+            for r in np.flatnonzero((Psi < 0).any(axis=(1, 2))):
+                Psi[r] = self._greedy_fill(X[r])
+        return Psi
+
+    def _greedy_fill(self, x: np.ndarray) -> np.ndarray:
+        """One state's greedy assignment: the classes in ``class_order`` take
+        free servers at the stations in ``station_order``, then the
+        rebalancing pass moves service until no queued customer can reach
+        idle capacity."""
         model = self.model
-        if model.classes == 1 and model.stations == 1:
-            out = np.empty((1, 1), dtype=int)
-            out[0, 0] = min(int(X[0]), int(self.caps[0]))
-            return out
         Psi = np.zeros((model.classes, model.stations), dtype=int)
         free = self.caps.copy()
         for i in self.class_order:
-            remaining = int(X[i])
+            remaining = int(x[i])
             for j in self.station_order:
                 if not model.edge_mask[i, j] or remaining == 0:
                     continue
@@ -141,73 +164,83 @@ class GreedyPriority:
                 Psi[i, j] = take
                 free[j] -= take
                 remaining -= take
-        _augment_work(model, X, Psi, self.caps)
+        _augment_work(model, x, Psi, self.caps)
         return Psi
 
+    def assign(self, X: np.ndarray) -> np.ndarray:
+        return self.assign_batch(np.asarray(X)[None])[0]
 
-def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
-    """Integer split of ``total`` proportional to ``weights``."""
-    raw = weights * total
+
+class GreedyPriority(_TargetRule):
+    """Preemptive assignment concentrating queueing on ``queue_class`` and
+    idleness at ``idle_station``: the control-vertex targets ``s^+ e_qc`` and
+    ``s^- e_is``.  Where the tree cannot hold them, a greedy fill with that
+    class served last and that station filled last, then a rebalancing pass
+    that moves service along the tree while queued work could fill idle room."""
+
+    assign = _TargetRule.assign  # an attribute of its own, which perfbench's traced mode wraps
+
+    def _targets(self, X, pos, neg):
+        Y = np.zeros_like(X)
+        Y[:, self.queue_class] = pos
+        Z = np.zeros((len(X), self.model.stations), dtype=int)
+        Z[:, self.idle_station] = neg
+        return Y, Z
+
+
+def _largest_remainder(weights: np.ndarray, total) -> np.ndarray:
+    """Integer split of ``total`` proportional to ``weights``; an array of
+    totals gives one split per entry.  Remainder ties go to the lower index."""
+    raw = np.multiply.outer(total, weights)
     base = np.floor(raw).astype(int)
-    short = total - base.sum()
-    if short > 0:
-        order = np.argsort(-(raw - base))
-        base[order[:short]] += 1
-    return base
+    frac = raw - base
+    short = np.asarray(total - base.sum(axis=-1))
+    # rank[k]: entries with a larger remainder, or an equal one at a lower index
+    lower = np.tri(len(weights), k=-1, dtype=bool)
+    ahead = (frac[..., None, :] > frac[..., :, None]) | (
+        (frac[..., None, :] == frac[..., :, None]) & lower)
+    return base + (ahead.sum(axis=-1) < short[..., None])
 
 
 def _cap_targets(targets: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Clamp integer targets to per-entry caps, redistributing the overflow
-    to entries with headroom in index order."""
+    to entries with headroom in index order (one row per leading index)."""
     out = np.minimum(targets, caps)
-    overflow = int(targets.sum() - out.sum())
-    for k in range(len(out)):
-        if overflow == 0:
-            break
-        room = int(caps[k] - out[k])
-        take = min(room, overflow)
-        out[k] += take
+    overflow = targets.sum(axis=-1) - out.sum(axis=-1)
+    if not overflow.any():
+        return out
+    for k in range(out.shape[-1]):
+        take = np.minimum(caps[..., k] - out[..., k], overflow)
+        out[..., k] += take
         overflow -= take
     return out
 
 
-class ImbalanceTracking:
+class ImbalanceTracking(_TargetRule):
     """Assignment targeting a fixed control point's queue and idle splits.
 
-    The aggregate queue (or idleness) is forced by the headcounts; the rule
-    splits it across classes (stations) by the control weights with
-    largest-remainder rounding, then solves the tree flow equations for the
-    matching integer assignment.  When the targets are infeasible on the
-    tree (some flow would go negative), it falls back to greedy routing with
-    the work-conserving rebalancing pass.
+    The rule splits the aggregate queue (or idleness) across classes
+    (stations) by the control weights with largest-remainder rounding,
+    capped by the headcounts (capacities), and lifts the targets through the
+    tree flow equations.  When the targets are infeasible on the tree it
+    falls back to the greedy fill of ``GreedyPriority(model, scaling)`` with
+    the work-conserving rebalancing pass.  The splits are tabulated by
+    aggregate: idleness up to the capacity, queues up to the largest seen.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, point: ControlPoint):
-        self.model = model
-        self.caps = scaling.server_counts(model)
+        super().__init__(model, scaling)
         self.point = point
-        self._fallback = GreedyPriority(model, scaling)
+        self._idle = _cap_targets(
+            _largest_remainder(point.v, np.arange(self.caps.sum() + 1)), self.caps)
+        self._queue = _largest_remainder(point.u, np.arange(self.caps.sum() + 1))
 
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        from .flows import solve_psi
+    assign = _TargetRule.assign
 
-        model = self.model
-        total_x = int(X.sum())
-        total_n = int(self.caps.sum())
-        if total_x >= total_n:
-            y_target = _cap_targets(_largest_remainder(self.point.u, total_x - total_n), X)
-            z_target = np.zeros(model.stations, dtype=int)
-        else:
-            y_target = np.zeros(model.classes, dtype=int)
-            z_target = _cap_targets(
-                _largest_remainder(self.point.v, total_n - total_x), self.caps
-            )
-        alpha = (X - y_target).astype(float)
-        beta = (self.caps - z_target).astype(float)
-        psi = solve_psi(model, alpha, beta)
-        if (psi >= 0).all():
-            return np.rint(psi).astype(int)
-        return self._fallback.assign(X)
+    def _targets(self, X, pos, neg):
+        if pos.max(initial=0) >= len(self._queue):
+            self._queue = _largest_remainder(self.point.u, np.arange(2 * pos.max() + 1))
+        return _cap_targets(self._queue[pos], X), self._idle[neg]
 
 
 @dataclass(frozen=True)
@@ -223,14 +256,103 @@ class CtmcPath:
 
 
 def _check_state(model, X, Psi, caps):
-    if (Psi < 0).any():
+    """Queue and idle counts ``(Y[R, I], Z[R, J])`` of a batch of assignments;
+    raises unless every assignment is valid."""
+    Y = X - Psi.sum(axis=2)
+    Z = caps - Psi.sum(axis=1)
+    if Psi.min() < 0:
         raise ValueError("assignment rule produced negative in-service counts")
-    if Psi[~model.edge_mask].any():
+    if Psi[:, ~model.edge_mask].any():
         raise ValueError("assignment rule used a non-activity")
-    if ((X - Psi.sum(axis=1)) < 0).any():
+    if Y.min() < 0:
         raise ValueError("assignment rule violated the class headcount identity")
-    if ((caps - Psi.sum(axis=0)) < 0).any():
+    if Z.min() < 0:
         raise ValueError("assignment rule violated the station capacity identity")
+    return Y, Z
+
+
+# uniforms are drawn per replication in blocks of this many steps: 512 bytes
+# per replication, so 10 000 replications hold 5 MB of them
+_BLOCK_STEPS = 32
+
+
+def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
+    """Step one replication per seed key together: Gillespie's direct method
+    over arrays, racing arrivals, per-activity completions and abandonments.
+
+    Row r draws two uniforms per event from ``default_rng(seeds[r] + [31])``:
+    the holding time is ``-log(u1) / total`` and the event is the first whose
+    cumulative rate exceeds ``u2 * total``.  After every event the rule
+    reassigns all servers and the assignment is checked.  A row leaves the
+    batch once its next event falls past ``horizon`` or its last sample is
+    taken, so its path does not depend on the other rows.  Returns the sample
+    times (default: 11 over the horizon), the integer samples ``(X, Y, Z)``,
+    each row's event count and the realized start.
+    """
+    if sample_times is None:
+        sample_times = np.linspace(0.0, horizon, 11)
+    sample_times = np.asarray(sample_times, dtype=float)
+    R, S, I = len(seeds), len(sample_times), model.classes
+    caps = scaling.server_counts(model)
+    ei, ej = np.array(model.edges).T
+    flat = ei * model.stations + ej
+    mu = scaling.service_rates(model)[ei, ej]
+    unit = np.eye(I, dtype=int)
+    moves = np.concatenate([unit, -unit[ei], -unit])  # arrivals, completions, abandonments
+    svc, ab = slice(I, I + len(flat)), slice(I + len(flat), None)
+    X0, realized = initial_headcounts(model, scaling, x_hat0)
+    gens = [np.random.default_rng(key + [31]) for key in seeds]
+    due_at = np.append(sample_times, np.inf)
+    end = horizon + 1e-12
+    rec = (np.empty((R, S, I), int), np.empty((R, S, I), int),
+           np.empty((R, S, model.stations), int))
+    events = np.zeros(R, dtype=int)
+    rows = np.arange(R)  # replication of each active row
+    X = np.tile(X0, (R, 1))
+    rates = np.zeros((R, len(moves)))
+    rates[:, :I] = scaling.arrival_rates(model)
+    t = np.zeros(R)
+    si = np.zeros(R, dtype=int)
+    limit = np.full(R, -np.inf)  # a row needs attention once its next event passes this
+    step = 0
+    with np.errstate(divide="ignore"):  # a row with no possible event waits forever
+        while rows.size:
+            Psi = rule.assign_batch(X)
+            Y, Z = _check_state(model, X, Psi, caps)
+            np.multiply(Psi.reshape(len(X), -1)[:, flat], mu, out=rates[:, svc])
+            np.multiply(model.theta, Y, out=rates[:, ab])
+            cum = rates.cumsum(axis=1)
+            k = step % _BLOCK_STEPS
+            if k == 0:
+                u = np.empty((rows.size, _BLOCK_STEPS, 2))
+                for a, r in enumerate(rows):
+                    gens[r].random(out=u[a])
+            t_next = t - np.log(u[:, k, 0]) / cum[:, -1]
+            if (t_next > limit).any():
+                due = due_at[si] < t_next
+                while due.any():
+                    d = np.flatnonzero(due)
+                    for out, val in zip(rec, (X, Y, Z)):
+                        out[rows[d], si[d]] = val[d]
+                    si += due
+                    due = due_at[si] < t_next
+                done = (si == S) | (t_next > end)
+                if done.any():
+                    d = np.flatnonzero(done)
+                    tail = (np.arange(S) >= si[d, None])[..., None]
+                    for out, val in zip(rec, (X, Y, Z)):
+                        out[rows[d]] = np.where(tail, val[d, None], out[rows[d]])
+                    events[rows[d]] = step
+                    keep = ~done
+                    rows, X, rates, cum, t_next, si, u = (
+                        rows[keep], X[keep], rates[keep], cum[keep], t_next[keep], si[keep], u[keep])
+                limit = np.minimum(due_at[si], end)
+            t = t_next
+            # u2 < 1 keeps u2 * total below the last cumulative rate, so the
+            # pick is an event of positive rate
+            X += moves[(cum <= (u[:, k, 1] * cum[:, -1])[:, None]).sum(axis=1)]
+            step += 1
+    return sample_times, rec, events, realized
 
 
 def simulate_ctmc(
@@ -241,137 +363,18 @@ def simulate_ctmc(
     horizon: float,
     seed: int = 0,
     sample_times=None,
-    check: bool = False,
 ) -> CtmcPath:
     """Run one replication of the n-th system and emit scaled samples.
 
-    Events race exponentially among arrivals, per-activity service
-    completions, and abandonments; after every event the rule reassigns all
-    servers from scratch.
+    A batch of one in the event loop of :func:`run_replications`; ``seed``
+    is an integer or a sequence of integers.
     """
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, 11)
-    sample_times = np.asarray(sample_times, dtype=float)
     seed_key = [int(seed)] if np.isscalar(seed) else [int(s) for s in seed]
-    rng = np.random.default_rng(seed_key + [31])
-    lam_n = scaling.arrival_rates(model)
-    mu_n = scaling.service_rates(model)
-    caps = scaling.server_counts(model)
-    theta = model.theta
-    X, realized = initial_headcounts(model, scaling, x_hat0)
-    n = scaling.n
-    sqn = np.sqrt(n)
-
-    if model.classes == 1 and model.stations == 1:
-        return _simulate_single(
-            model, float(lam_n[0]), float(mu_n[0, 0]), float(theta[0]), int(caps[0]),
-            int(X[0]), realized, horizon, rng, sample_times, n,
-        )
-
-    edges = list(model.edges)
-    S = len(sample_times)
-    xs = np.empty((S, model.classes))
-    ys = np.empty((S, model.classes))
-    zs = np.empty((S, model.stations))
-    Psi = rule.assign(X)
-    if check:
-        _check_state(model, X, Psi, caps)
-    t = 0.0
-    si = 0
-    events = 0
-    n_arr = model.classes
-    n_svc = len(edges)
-    buf = np.empty(n_arr + n_svc + model.classes)
-    buf[:n_arr] = lam_n
-    while si < S:
-        for k, (i, j) in enumerate(edges):
-            buf[n_arr + k] = Psi[i, j] * mu_n[i, j]
-        Y = X - Psi.sum(axis=1)
-        buf[n_arr + n_svc :] = theta * Y
-        total = buf.sum()
-        t_next = t + rng.exponential(1.0 / total) if total > 0 else np.inf
-        while si < S and sample_times[si] < t_next:
-            xs[si] = (X - n * model.x_star) / sqn
-            ys[si] = Y / sqn
-            zs[si] = (caps - Psi.sum(axis=0)) / sqn
-            si += 1
-        if si >= S or t_next > horizon + 1e-12:
-            while si < S:
-                xs[si] = (X - n * model.x_star) / sqn
-                ys[si] = Y / sqn
-                zs[si] = (caps - Psi.sum(axis=0)) / sqn
-                si += 1
-            break
-        t = t_next
-        events += 1
-        r = rng.random() * total
-        acc = 0.0
-        pick = buf.size - 1
-        for k in range(buf.size):
-            acc += buf[k]
-            if r < acc:
-                pick = k
-                break
-        if pick < n_arr:
-            X[pick] += 1
-        elif pick < n_arr + n_svc:
-            i, j = edges[pick - n_arr]
-            X[i] -= 1
-            Psi[i, j] -= 1
-        else:
-            X[pick - n_arr - n_svc] -= 1
-        Psi = rule.assign(X)
-        if check:
-            _check_state(model, X, Psi, caps)
-    return CtmcPath(sample_times, xs, ys, zs, realized, events)
-
-
-def _simulate_single(model, lam, mu, theta, cap, X, realized, horizon, rng, sample_times, n):
-    """Scalar event loop for the one-class one-station system."""
-    S = len(sample_times)
-    xs = np.empty((S, 1))
-    ys = np.empty((S, 1))
-    zs = np.empty((S, 1))
-    sqn = np.sqrt(n)
-    x_star = float(model.x_star[0])
-    t = 0.0
-    si = 0
-    events = 0
-    block = rng.random(4096)
-    bi = 0
-    while si < S:
-        serve = X if X < cap else cap
-        y = X - serve
-        r_svc = mu * serve
-        r_ab = theta * y
-        total = lam + r_svc + r_ab
-        if bi >= 4094:
-            block = rng.random(4096)
-            bi = 0
-        u1 = block[bi]
-        u2 = block[bi + 1]
-        bi += 2
-        t_next = t - np.log(u1) / total if total > 0 else np.inf
-        while si < S and sample_times[si] < t_next:
-            xs[si, 0] = (X - n * x_star) / sqn
-            ys[si, 0] = y / sqn
-            zs[si, 0] = (cap - serve) / sqn
-            si += 1
-        if si >= S or t_next > horizon + 1e-12:
-            while si < S:
-                xs[si, 0] = (X - n * x_star) / sqn
-                ys[si, 0] = y / sqn
-                zs[si, 0] = (cap - serve) / sqn
-                si += 1
-            break
-        t = t_next
-        events += 1
-        r = u2 * total
-        if r < lam:
-            X += 1
-        else:
-            X -= 1
-    return CtmcPath(sample_times, xs, ys, zs, realized, events)
+    times, (X, Y, Z), events, realized = _simulate(model, scaling, rule, x_hat0, horizon,
+                                                   [seed_key], sample_times)
+    sqn = np.sqrt(scaling.n)
+    return CtmcPath(times, (X[0] - scaling.n * model.x_star) / sqn, Y[0] / sqn, Z[0] / sqn,
+                    realized, int(events[0]))
 
 
 def run_replications(
@@ -383,21 +386,15 @@ def run_replications(
     n_reps: int,
     seed: int = 0,
     sample_times=None,
-    check: bool = False,
 ) -> np.ndarray:
-    """Scaled state samples across independent replications, ``(R, S, I)``."""
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, 11)
-    out = None
-    for rep in range(n_reps):
-        path = simulate_ctmc(
-            model, scaling, rule, x_hat0, horizon,
-            seed=[seed, rep], sample_times=sample_times, check=check,
-        )
-        if out is None:
-            out = np.empty((n_reps, len(path.times), model.classes))
-        out[rep] = path.x_hat
-    return out
+    """Scaled state samples across independent replications, ``(R, S, I)``.
+
+    Replication r is the path of ``simulate_ctmc(..., seed=[seed, r])``,
+    byte for byte, whatever ``n_reps``.
+    """
+    seeds = [[int(seed), rep] for rep in range(n_reps)]
+    _, (X, _, _), _, _ = _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times)
+    return (X - scaling.n * model.x_star) / np.sqrt(scaling.n)
 
 
 # -- comparison ---------------------------------------------------------------

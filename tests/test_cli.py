@@ -111,6 +111,20 @@ def test_solve_hjb_converges_at_cli_defaults(tmp_path):
     assert report["history"][-1]["sup_update"] <= 1e-8
 
 
+def test_solve_json_is_strict_json_on_small_grids(tmp_path):
+    # on 4 points the interior residual is not measured (NaN), which must
+    # be written as null
+    out = tmp_path / "solve"
+    run("solve-hjb", "--model", MODELS / "n_model.json", "--points", "4",
+        "--boundary", "extrapolate", "--out", out)
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    report = json.loads((out / "solve.json").read_text(), parse_constant=reject)
+    assert report["interior_residual"] is None
+
+
 def test_extract_policy_wrong_kind(single_file, tmp_path):
     solve_out = tmp_path / "s"
     run("solve-hjb", "--model", single_file, "--points", "41",
