@@ -514,6 +514,8 @@ def _build_parser():
 # exclusive lower bounds of the numeric options, wherever a command has them
 LOWER_BOUNDS = {"dt": 0, "horizon": 0, "paths": 0, "reps": 0, "n": 0, "runs": 0, "samples": 0,
                 "boundary_paths": 0, "threads": 0, "points": 2}
+# options that must also be positive and finite, per command
+POSITIVE_FINITE = {"solve-hjb": ("radius", "tol")}
 
 
 def _check_numbers(args):
@@ -522,6 +524,10 @@ def _check_numbers(args):
         val = getattr(args, name, None)
         if val is not None and not (isinstance(val, (int, float)) and val > low):
             raise CliError(f"--{name.replace('_', '-')} must be above {low}, got {val!r}")
+    for name in POSITIVE_FINITE.get(args.command, ()):
+        val = getattr(args, name)
+        if not (isinstance(val, (int, float)) and 0 < val < float("inf")):
+            raise CliError(f"--{name} must be positive and finite, got {val!r}")
     if getattr(args, "moments", None) and (_floats(args.moments, name="--moments") < 0).any():
         raise CliError(f"--moments times must be nonnegative, got {args.moments!r}")
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import bicgstab, spsolve
 
 from . import sde
 from .flows import _columns, _drift_maps, drift_batch
@@ -269,13 +269,22 @@ TIE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class HJBIteration:
-    """One policy-iteration step: the sup-norm change of the value, the
-    number of interior points whose control the improvement step changed,
-    and the seconds spent in the sparse solve."""
+    """One policy-iteration step; a solve stops at the first step whose
+    ``policy_changes`` is 0, as the next solve would repeat its system.
+
+    ``sup_update`` is the sup-norm change that one ``method="value"`` sweep
+    would make to the value just solved, so both methods report the same
+    quantity; ``policy_changes`` counts the interior points whose control the
+    improvement step changed; ``solve_s`` is the seconds spent in the linear
+    solve, and ``solver`` names it: ``"spsolve"`` (sparse LU, 1-D and 2-D),
+    ``"bicgstab"`` (3-D) or ``"bicgstab->spsolve"`` (BiCGSTAB did not
+    converge and LU solved the system instead).
+    """
 
     sup_update: float
     policy_changes: int
     solve_s: float
+    solver: str
 
 
 @dataclass(frozen=True)
@@ -337,6 +346,21 @@ def _extrapolation_rows(grid):
     return rows, cols, data
 
 
+def _linear_solve(A, rhs, x0, dim):
+    """Solve ``A x = rhs``; returns the solution and the solver's name.
+
+    Sparse LU in 1-D and 2-D, where it is the faster one.  In 3-D the LU
+    fill-in dominates, so BiCGSTAB with a Jacobi preconditioner starts from
+    ``x0``, and LU takes over if it does not converge.
+    """
+    if dim < 3:
+        return spsolve(A, rhs), "spsolve"
+    x, info = bicgstab(A, rhs, x0=x0, rtol=1e-12, atol=0.0, M=sp.diags(1.0 / A.diagonal()))
+    if info == 0:
+        return x, "bicgstab"
+    return spsolve(A, rhs), "bicgstab->spsolve"
+
+
 def solve_hjb(
     model: TreeModel,
     cost: RunningCostSpec,
@@ -365,15 +389,23 @@ def solve_hjb(
         the same discretization; it is kept for cross-checks and is slow on
         fine grids.
     tol:
-        ``"value"`` converges once the sup-norm update is at most ``tol``;
-        ``"policy"`` also needs an improvement step that changes no
-        control.  The improvement keeps a point's current control unless a
-        candidate beats it by more than ``TIE_RTOL * max(1, |f|_inf)``: on
-        the zero-imbalance plane every control gives the same value up to
+        Positive and finite.  ``sup_update`` is, for both methods, the
+        sup-norm change of one value sweep: ``"value"`` converges once it is
+        at most ``tol``.  ``"policy"`` stops at the first improvement step
+        that changes no control, since the next solve would repeat the same
+        system, and has converged if that step's ``sup_update`` (the Bellman
+        residual of the solved value, at rounding level) is at most ``tol``.
+        The improvement keeps a point's current control unless a candidate
+        beats it by more than ``TIE_RTOL * max(1, |f|_inf)``: on the
+        zero-imbalance plane every control gives the same value up to
         rounding, and a plain ``argmin`` would cycle among them forever.
         ``report.history`` records every policy-iteration step.
 
-    Dimension is capped at 3: beyond that the grid is not tractable here.
+    The policy evaluation solves with sparse LU in 1-D and 2-D.  In 3-D it
+    runs Jacobi-preconditioned BiCGSTAB (relative tolerance 1e-12) from the
+    current value and falls back to LU when that does not converge; each
+    step's ``solver`` says which ran.  Dimension is capped at 3: beyond that
+    the grid is not tractable here.
     """
     if model.classes > 3:
         raise ValueError("grid solves are limited to 3 classes or fewer")
@@ -383,6 +415,8 @@ def solve_hjb(
         raise ValueError(f"unknown method {method!r}")
     if boundary not in ("static-mc", "extrapolate"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if boundary == "extrapolate" and grid.counts.min() < 4:
         # on 3 points the two extrapolation rows of a line coincide
         raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
@@ -408,21 +442,26 @@ def solve_hjb(
         b_data = np.ones(len(grid.boundary))
     else:
         b_rows, b_cols, b_data = _extrapolation_rows(grid)
+    B = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(N, N))
     f = g.copy()
     sel = np.arange(len(interior))
 
     def candidates(fcur):
         return ((WP * fcur[nb_p]).sum(axis=-1) + (WM * fcur[nb_m]).sum(axis=-1) + LV) / DEN
 
+    def sweep(fcur, stacked):
+        """One value-iteration step from ``fcur``, given ``candidates(fcur)``."""
+        fn = fcur.copy()
+        fn[interior] = stacked.min(axis=0)
+        fn -= B @ fn - g
+        return fn
+
     history = []
     if method == "value":
-        B = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(N, N))
         it = 0
         delta = np.inf
         while it < max_iter and delta > tol:
-            fn = f.copy()
-            fn[interior] = candidates(f).min(axis=0)
-            fn -= B @ fn - g
+            fn = sweep(f, candidates(f))
             delta = float(np.abs(fn - f).max())
             f = fn
             it += 1
@@ -440,25 +479,22 @@ def solve_hjb(
             data = np.concatenate(
                 [DEN[pol, sel], -WP[pol, sel].T.ravel(), -WM[pol, sel].T.ravel(), b_data]
             )
-            rhs = np.zeros(N)
+            rhs = g.copy()
             rhs[interior] = LV[pol, sel]
-            if edge is not None:
-                rhs[grid.boundary] = f[grid.boundary]
             A = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
             t0 = time.perf_counter()
-            fn = spsolve(A, rhs)
+            f, solver = _linear_solve(A, rhs, f, grid.dim)
             solve_s = time.perf_counter() - t0
-            delta = float(np.abs(fn - f).max())
-            f = fn
             iterations = it
             stacked = candidates(f)
+            delta = float(np.abs(sweep(f, stacked) - f).max())
             best = stacked.argmin(axis=0)
             tie = TIE_RTOL * max(1.0, float(np.abs(f).max()))
             new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
             changes = int((new_pol != pol).sum())
-            history.append(HJBIteration(delta, changes, solve_s))
-            if delta <= tol and changes == 0:
-                converged = True
+            history.append(HJBIteration(delta, changes, solve_s, solver))
+            if changes == 0:
+                converged = delta <= tol
                 break
             pol = new_pol
 

@@ -220,6 +220,15 @@ def _field_files(model_file, tmp_path):
     ("extract-policy", "--value", "NO_GRID"),
     ("evaluate-policy", "--policy", "SHORT", "--paths", "2"),
     ("evaluate-policy", "--policy", "BAD_COLUMNS", "--paths", "2"),
+    ("solve-hjb", "--radius", "0"),
+    ("solve-hjb", "--radius", "-2"),
+    ("solve-hjb", "--radius", "nan"),
+    ("solve-hjb", "--radius", "inf"),
+    ("solve-hjb", "--tol", "0"),
+    ("solve-hjb", "--tol", "-1"),
+    ("solve-hjb", "--tol", "nan"),
+    ("solve-hjb", "--tol", "inf"),
+    ("solve-hjb", "--config", {"radius": 0}),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"

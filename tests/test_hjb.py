@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 import hwsched as hw
+from hwsched import hjb
 from conftest import n_model, nmodel_cost, random_tree_model, single_class_fixture, tree3_model
 
 
@@ -185,6 +187,59 @@ def test_three_class_tree_converges():
     last = sol.report.history[-1]
     assert last.policy_changes == 0 and last.sup_update <= 1e-8
     assert np.isfinite(sol.report.interior_residual)
+
+
+def test_policy_iteration_stops_at_first_unchanged_policy():
+    # the variant of n_model where control matters: the improvement steps
+    # change controls before the policy settles
+    model = n_model(theta=(0.0, 3.0))
+    cost = hw.RunningCostSpec(c=[1.0, 1.05], d=[1.0, 2.0])
+    grid = hw.default_grid(model, points_per_dim=41)
+    sol = hw.solve_hjb(model, cost, grid, boundary="extrapolate")
+    rep, f = sol.report, sol.value.values
+    changes = [step.policy_changes for step in rep.history]
+    assert rep.converged and rep.iterations == len(rep.history) > 1
+    assert changes[-1] == 0 and 0 not in changes[:-1]
+    assert {step.solver for step in rep.history} == {"spsolve"}
+
+    # one value-method sweep from the returned field
+    WP, WM, LV, DEN = hjb._candidate_tables(model, cost, grid)
+    inner = grid.interior
+    up, down = inner[:, None] + grid.strides, inner[:, None] - grid.strides
+    fn = f.copy()
+    fn[inner] = (((WP * f[up]).sum(-1) + (WM * f[down]).sum(-1) + LV) / DEN).min(axis=0)
+    rows, cols, data = hjb._extrapolation_rows(grid)
+    fn -= sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size)) @ fn
+    sweep = float(np.abs(fn - f).max())
+    assert rep.history[-1].sup_update == rep.sup_update == sweep
+    assert sweep <= 1e-12 * np.abs(f).max()
+
+
+def test_unchanged_first_policy_takes_one_solve():
+    model = n_model()
+    sol = hw.solve_hjb(model, nmodel_cost(), hw.default_grid(model, points_per_dim=21),
+                       boundary="extrapolate")
+    assert sol.report.converged and sol.report.iterations == 1
+
+
+def test_three_d_solver_falls_back_to_lu(monkeypatch):
+    model, cost = tree3_model()
+    grid = hw.default_grid(model, points_per_dim=13)
+    krylov = hw.solve_hjb(model, cost, grid, boundary="extrapolate")
+    assert {step.solver for step in krylov.report.history} == {"bicgstab"}
+    monkeypatch.setattr(hjb, "bicgstab", lambda A, b, x0=None, **kwargs: (x0, 1))
+    lu = hw.solve_hjb(model, cost, grid, boundary="extrapolate")
+    assert lu.report.converged
+    assert {step.solver for step in lu.report.history} == {"bicgstab->spsolve"}
+    gap = np.abs(lu.value.values - krylov.value.values).max()
+    assert gap <= 1e-9 * np.abs(lu.value.values).max()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tolerance_must_be_positive_and_finite(tol):
+    model, cost = single_class_fixture()
+    with pytest.raises(ValueError, match="tol"):
+        hw.solve_hjb(model, cost, hw.Grid([-1.0], [1.0], [5]), boundary="extrapolate", tol=tol)
 
 
 def test_boundary_modes_agree_in_the_bulk():
