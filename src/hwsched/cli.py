@@ -148,18 +148,21 @@ def _manifest(out: Path, command: str, params: dict):
 
 
 def _smooth_controls(model, n, dt, rng):
+    """A random smooth control path on the ``n`` points ``0, dt, ...``: at each
+    point the normalized ``exp(c0 sin(f0 t) + c1 cos(f1 t))`` per class and
+    per station, with ``c`` and ``f`` drawn from ``rng``."""
     I, J = model.classes, model.stations
     cu = rng.normal(0, 1, (I, 2))
     fu = rng.uniform(0.5, 2.0, (I, 2))
     cv = rng.normal(0, 1, (J, 2))
     fv = rng.uniform(0.5, 2.0, (J, 2))
+    t = (dt * np.arange(n))[:, None]
 
-    def fn(t):
-        eu = np.exp(cu[:, 0] * np.sin(fu[:, 0] * t) + cu[:, 1] * np.cos(fu[:, 1] * t))
-        ev = np.exp(cv[:, 0] * np.sin(fv[:, 0] * t) + cv[:, 1] * np.cos(fv[:, 1] * t))
-        return eu / eu.sum(), ev / ev.sum()
+    def weights(c, f):
+        e = np.exp(c[:, 0] * np.sin(f[:, 0] * t) + c[:, 1] * np.cos(f[:, 1] * t))
+        return e / e.sum(axis=1, keepdims=True)
 
-    return detsys.ControlPath.from_function(fn, n, dt)
+    return detsys.ControlPath(dt, weights(cu, fu), weights(cv, fv))
 
 
 # -- command handlers (return True when the run's check passes) --------------
@@ -317,9 +320,11 @@ def cmd_counterexample(args, out):
 
 def cmd_integral_residual(args, out):
     model, _ = _load_model(args.model)
+    n = int(round(args.horizon / args.dt))
+    if n < 1:
+        raise CliError(f"--horizon {args.horizon:g} spans no --dt {args.dt:g} step")
     seqs = pathops.build_sequences(model)
     seqs.save(out / "sequences.json")
-    n = int(round(args.horizon / args.dt))
     rng = np.random.default_rng(args.seed)
     t = args.dt * np.arange(n + 1)
     w0 = rng.uniform(0.05, 0.3, model.classes) * np.sign(rng.normal(size=model.classes))
@@ -514,8 +519,15 @@ def _build_parser():
 # exclusive lower bounds of the numeric options, wherever a command has them
 LOWER_BOUNDS = {"dt": 0, "horizon": 0, "paths": 0, "reps": 0, "n": 0, "runs": 0, "samples": 0,
                 "boundary_paths": 0, "threads": 0, "points": 2}
-# options that must also be positive and finite, per command
-POSITIVE_FINITE = {"solve-hjb": ("radius", "tol")}
+_POSITIVE_FINITE = (lambda v: 0 < v < float("inf"), "positive and finite")
+# a sample variance needs two samples
+_AT_LEAST_TWO = (lambda v: v >= 2, "at least 2")
+# per command, options with a narrower range: (test, the range in words)
+RANGES = {
+    "solve-hjb": {"radius": _POSITIVE_FINITE, "tol": _POSITIVE_FINITE},
+    "counterexample": {"k": (lambda v: 0 <= v < float("inf"), "nonnegative and finite")},
+    "compare": {"reps": _AT_LEAST_TWO, "paths": _AT_LEAST_TWO},
+}
 
 
 def _check_numbers(args):
@@ -524,10 +536,10 @@ def _check_numbers(args):
         val = getattr(args, name, None)
         if val is not None and not (isinstance(val, (int, float)) and val > low):
             raise CliError(f"--{name.replace('_', '-')} must be above {low}, got {val!r}")
-    for name in POSITIVE_FINITE.get(args.command, ()):
+    for name, (ok, words) in RANGES.get(args.command, {}).items():
         val = getattr(args, name)
-        if not (isinstance(val, (int, float)) and 0 < val < float("inf")):
-            raise CliError(f"--{name} must be positive and finite, got {val!r}")
+        if not (isinstance(val, (int, float)) and ok(val)):
+            raise CliError(f"--{name} must be {words}, got {val!r}")
     if getattr(args, "moments", None) and (_floats(args.moments, name="--moments") < 0).any():
         raise CliError(f"--moments times must be nonnegative, got {args.moments!r}")
 

@@ -9,13 +9,17 @@ table ``table = (Ut, Vt)`` and picks rows with ``index(X, t)``, which
 returns an int (one row for every state) or an integer array (one row per
 state); ``controls(X, t)`` is the public view of the same choice.  With the
 imbalance ``s`` the drift ``-X Rx^T + s^+ (U Rx^T - theta U) + s^- V Rb^T +
-ell`` and the running cost are affine in one coefficient column per row,
-so the loop builds those columns once (``flows._columns``, which the grid
-solver shares) and a step gathers the picked ones.
-A policy with ``table = None`` or with only ``controls`` (a blending
-``GridMarkov``, user policies) is simulated by the same loop, its rows
-turned into columns at each step.  Either way the floats are those of
-``drift_batch`` and ``RunningCostSpec.evaluate`` on the same rows.
+ell`` and the running cost are affine in one coefficient column per row and
+side of ``s``, so the loop builds one table of those columns once
+(``flows._columns``, which the grid solver shares) and a step gathers one
+column per path, the idle-side one when ``s < 0``, and scales it by ``|s|``.
+Only one of ``s^+`` and ``s^-`` is nonzero, so this adds the same floats as
+the two-term formula.  A policy with ``table = None`` or with only
+``controls`` (a blending ``GridMarkov``, user policies) is simulated by the
+same loop, its rows of the step serving as the table.  Either way the
+floats are those of ``drift_batch`` and ``RunningCostSpec.evaluate`` on the
+same rows.  Normal draws come in blocks of several steps, which a generator
+fills with the same values as one draw per step.
 
 Reproducibility is counter-based: path chunks of a fixed layout draw from
 generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
@@ -132,24 +136,23 @@ class GridMarkov:
         self.field = field
         self.blend = blend
         g = field.grid
-        self._lows = g.lows
-        self._spacing = g.spacing
-        self._counts = g.counts  # unused here; perfbench/layers.py reads it
-        # flat (C-order) index of grid point n is n @ _strides
+        # unused here; perfbench/layers.py reads them
+        self._lows, self._spacing, self._counts = g.lows, g.spacing, g.counts
+        # flat (C-order) index of grid point n is _strides @ n
         self._strides = np.append(np.cumprod(g.counts[:0:-1])[::-1], 1).astype(float)
-        self._top = g.counts - 1.0
+        # (I, 1) columns: index works class-major, on the (I, B) transpose of X
+        self._lows_i, self._spacing_i = g.lows[:, None], g.spacing[:, None]
+        self._top_i = g.counts[:, None] - 1.0
         self.table = None if blend else (field.u, field.v)
         self._blend_rows = np.column_stack([field.u, field.v]) if blend else None
 
-    def _clipped_coords(self, X: np.ndarray) -> np.ndarray:
-        rel = (X - self._lows) / self._spacing
-        np.maximum(rel, 0.0, out=rel)
-        return np.minimum(rel, self._top, out=rel)
-
     def index(self, X: np.ndarray, t: float) -> np.ndarray:
-        rel = self._clipped_coords(X)
+        rel = X.T - self._lows_i
+        rel /= self._spacing_i
+        np.maximum(rel, 0.0, out=rel)
+        np.minimum(rel, self._top_i, out=rel)
         np.rint(rel, out=rel)
-        return (rel @ self._strides).astype(np.intp)
+        return (self._strides @ rel).astype(np.intp)
 
     def controls(self, X: np.ndarray, t: float):
         if not self.blend:
@@ -211,13 +214,20 @@ def simulate_path(
     return SimPath(dt=dt, x=snaps.reshape(n + 1, I), u=u, v=v, noise=noise)
 
 
-def _row_sum(A):
-    """Sum over the rows of ``A``, added in row order: the order in which
-    ``drift_batch`` and ``evaluate`` sum the coordinates of ``(B, I)`` states."""
-    out = A[0]
-    for row in A[1:]:
-        out = out + row
+def _row_sum(A, out):
+    """Sum over the rows of ``A`` into ``out``, added in row order: the order in
+    which ``drift_batch`` and ``evaluate`` sum the coordinates of ``(B, I)`` states."""
+    if len(A) == 1:
+        np.copyto(out, A[0])
+        return out
+    np.add(A[0], A[1], out=out)
+    for row in A[2:]:
+        out += row
     return out
+
+
+# values per block of normal draws; a block is (K, B, I) with K = max(1, _BLOCK // (B I))
+_BLOCK = 2**15
 
 
 def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), record=None):
@@ -230,83 +240,104 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     triple of arrays with ``n_steps`` rows into which each step writes its
     controls and its raw standard normal draw.
 
-    The state is kept class-major, ``(I, B)``.  A tabulated policy's rows are
-    turned into coefficient columns once (``_columns``); each step then takes
-    the columns of the rows ``policy.index`` picks.  A policy with only
-    ``controls`` has its rows turned into columns at every step.
+    The state is kept class-major, ``(I, B)``.  A tabulated policy's ``R``
+    rows are turned once into one ``(I + 1, 2R)`` table of coefficient
+    columns (``_columns``): the queue-side columns, then the idle-side ones.
+    A path at imbalance ``s`` reads column ``row + R [s < 0]``, so one gather
+    and one multiply by ``|s|`` give its drift correction ``s^+ q + s^- z``
+    and, for linear costs, its cost weight; otherwise the weight is scaled
+    by ``|s|^p`` or ``|s|^q``, chosen by side.  Exactly one of ``s^+`` and
+    ``s^-`` is nonzero, so each sum has the same floats as adding both
+    terms.  A policy with only ``controls`` (or ``table = None``) has its
+    rows of the step as the table, with row ``b`` for path ``b``.
+
+    Normals are drawn in blocks of ``K`` steps, ``(K, B, I)`` of at most
+    ``_BLOCK`` values, and scaled once per block.  A generator fills a block
+    with the values that ``K`` draws of ``(B, I)`` would give in turn, so
+    the paths, costs and ``record`` are the same bytes for any block size.
     """
     X = np.array(x0s, dtype=float).T.copy()
     I, B = X.shape
     table = getattr(policy, "table", None)
     if table is not None:
-        Q, Z = (np.ascontiguousarray(a) for a in _columns(model, cost, *table))
-        # the (I + 1, 1) column of each row, for an index shared by all paths
-        Qk, Zk = Q.T[:, :, None], Z.T[:, :, None]
+        # C order: take would copy a Fortran-ordered table at every step
+        W = np.ascontiguousarray(np.hstack(_columns(model, cost, *table)))
+        R = W.shape[1] // 2
+    else:
+        R, idx = B, np.arange(B)
     # lin @ X is (X.T @ -Rx^T).T; the transposed view, not a copy, makes BLAS
     # round it as drift_batch does (a copy differs for a single path)
     lin = _drift_maps(model)[1].T
     ell = model.ell[:, None] if model.ell.any() else None
     noise_scale = model.r * np.sqrt(dt)
     costs = np.zeros(B) if cost is not None else None
-    if cost is not None:
-        c_on, d_on = cost.c.any(), cost.d.any()
+    linear = cost is None or (cost.p == 1.0 and cost.q == 1.0)
     snaps = np.empty((len(snap_idx), B, I))
     # snapshot slots in step order, with a sentinel past the last step
     order = np.argsort(snap_idx, kind="stable")
-    due = np.append(np.asarray(snap_idx, dtype=int)[order], n_steps + 1)
+    due = [int(k) for k in np.asarray(snap_idx, dtype=int)[order]] + [n_steps + 1]
     p = 0
     while due[p] == 0:
         snaps[order[p]] = X.T
         p += 1
     disc = 1.0
     decay = np.exp(-model.gamma * dt)
-    for k in range(n_steps):
-        t = k * dt
-        s = _row_sum(X)
-        pos = np.maximum(s, 0.0)
-        neg = pos - s
-        if table is None:
-            U, V = policy.controls(X.T, t)
-            qa, za = _columns(model, cost, U, V)
-        else:
-            idx = policy.index(X.T, t)
-            if isinstance(idx, np.ndarray):
-                qa, za = Q.take(idx, axis=1), Z.take(idx, axis=1)
+    s, a, norm = np.empty(B), np.empty(B), np.empty(B)
+    side = np.empty(B, dtype=np.intp)
+    # a path's column is row + R side; with one row it is its side
+    col = side if R == 1 else np.empty(B, dtype=np.intp)
+    K = max(1, _BLOCK // (B * I))
+    for start in range(0, n_steps, K):
+        raw = rng.standard_normal((min(K, n_steps - start), B, I))
+        # record keeps the raw draws
+        noise = raw * noise_scale if record is not None else np.multiply(raw, noise_scale, out=raw)
+        for k, xi in enumerate(noise, start):
+            t = k * dt
+            _row_sum(X, s)
+            np.abs(s, out=a)
+            np.less(s, 0.0, out=side)
+            if table is None:
+                U, V = policy.controls(X.T, t)
+                W = np.hstack(_columns(model, cost, U, V))
             else:
-                qa, za = Qk[idx], Zk[idx]
-            if record is not None:
-                U, V = table[0][idx], table[1][idx]
-        if cost is not None:
-            # the terms in RunningCostSpec.evaluate's order; x + constant is constant + x
-            if c_on:
-                step_cost = (pos if cost.p == 1.0 else pos**cost.p) * qa[I]
+                idx = policy.index(X.T, t)
+                if record is not None:
+                    U, V = table[0][idx], table[1][idx]
+            if R > 1:
+                np.multiply(side, R, out=col)
+                col += idx
+            g = W.take(col, axis=1)
+            if linear:
+                g *= a
+            else:
+                g[:I] *= a
+                pos_w = a if cost.p == 1.0 else a**cost.p
+                neg_w = a if cost.q == 1.0 else a**cost.q
+                g[I] *= np.where(side, neg_w, pos_w)
+            if cost is not None:
+                # evaluate adds constant + s^+ term + s^- term; one term is
+                # zero and x + constant is constant + x
+                step_cost = g[I]
                 if cost.constant:
                     step_cost += cost.constant
-            else:
-                step_cost = np.full(B, cost.constant)
-            if d_on:
-                step_cost += (neg if cost.q == 1.0 else neg**cost.q) * za[I]
-            if cost.kappa:
-                norm = _row_sum(np.abs(X))
-                step_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
-            step_cost *= disc * dt
-            costs += step_cost
-            disc *= decay
-        b = lin @ X
-        b += pos * qa[:I]
-        b += neg * za[:I]
-        if ell is not None:
-            b += ell
-        b *= dt
-        X += b
-        xi = rng.standard_normal((B, I))
-        if record is not None:
-            record[0][k], record[1][k], record[2][k] = U, V, xi
-        xi *= noise_scale
-        X += xi.T
-        while due[p] == k + 1:
-            snaps[order[p]] = X.T
-            p += 1
+                if cost.kappa:
+                    _row_sum(np.abs(X), norm)
+                    step_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
+                step_cost *= disc * dt
+                costs += step_cost
+                disc *= decay
+            b = lin @ X
+            b += g[:I]
+            if ell is not None:
+                b += ell
+            b *= dt
+            X += b
+            if record is not None:
+                record[0][k], record[1][k], record[2][k] = U, V, raw[k - start]
+            X += xi.T
+            while due[p] == k + 1:
+                snaps[order[p]] = X.T
+                p += 1
     return costs, snaps
 
 

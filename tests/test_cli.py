@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import hwsched as hw
+from hwsched import cli
 from hwsched.cli import main
-from conftest import n_model, nmodel_cost, single_class_fixture
+from conftest import n_model, nmodel_cost, single_class_fixture, tree3_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -229,6 +230,13 @@ def _field_files(model_file, tmp_path):
     ("solve-hjb", "--tol", "nan"),
     ("solve-hjb", "--tol", "inf"),
     ("solve-hjb", "--config", {"radius": 0}),
+    ("compare", "--reps", "1", "--paths", "2"),
+    ("compare", "--reps", "2", "--paths", "1"),
+    ("compare", "--config", {"reps": 1}),
+    ("counterexample", "--k", "-1"),
+    ("counterexample", "--k", "nan"),
+    ("counterexample", "--k", "inf"),
+    ("integral-residual", "--horizon", "1e-4"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -308,3 +316,33 @@ def test_unknown_config_key_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_option": 1}))
     assert run("counterexample", "--config", cfg, "--out", tmp_path / "o") == 2
+
+
+def reference_smooth_controls(model, n, dt, rng):
+    """``cli._smooth_controls`` sampled one time point at a time."""
+    I, J = model.classes, model.stations
+    cu = rng.normal(0, 1, (I, 2))
+    fu = rng.uniform(0.5, 2.0, (I, 2))
+    cv = rng.normal(0, 1, (J, 2))
+    fv = rng.uniform(0.5, 2.0, (J, 2))
+
+    def fn(t):
+        eu = np.exp(cu[:, 0] * np.sin(fu[:, 0] * t) + cu[:, 1] * np.cos(fu[:, 1] * t))
+        ev = np.exp(cv[:, 0] * np.sin(fv[:, 0] * t) + cv[:, 1] * np.cos(fv[:, 1] * t))
+        return eu / eu.sum(), ev / ev.sum()
+
+    return hw.ControlPath.from_function(fn, n, dt)
+
+
+@pytest.mark.parametrize("model", [n_model(), single_class_fixture()[0], tree3_model()[0]],
+                         ids=["n_model", "single_class", "tree3"])
+def test_smooth_controls_match_pointwise_sampling(model):
+    for seed in (0, 1, 17):
+        for n, dt in ((1, 1e-3), (9, 0.25), (2001, 1e-3)):
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = cli._smooth_controls(model, n, dt, rng_got)
+            want = reference_smooth_controls(model, n, dt, rng_want)
+            assert got.dt == want.dt
+            assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
+            # nonidling-check draws its runs' controls from one generator
+            assert rng_got.random() == rng_want.random()

@@ -329,3 +329,62 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def _block_case(kind, B):
+    model, cost = n_model(), nmodel_cost()
+    rng = np.random.default_rng(B)
+    if kind in ("grid", "blend"):
+        # the blend's dense rows take the convex cost's |s|^p, |s|^q weights
+        policy = _policy(kind, model, rng)[0]
+        if kind == "blend":
+            cost = hw.RunningCostSpec(c=cost.c, d=cost.d, p=2.0, q=1.5, kappa=0.4, constant=0.1)
+    elif kind == "switch":
+        policy = hw.SwitchingControl(model, 0.13, 1.0, seed=1)
+    else:
+        policy = hw.StaticPriority.for_model(model, 1, 0)
+    return model, cost, policy, rng.uniform(-3.0, 3.0, (B, 2))
+
+
+@pytest.mark.parametrize("kind", ["static", "switch", "grid", "blend"])
+@pytest.mark.parametrize("B", [1, 7, 300])
+def test_run_chunk_does_not_depend_on_the_block_size(monkeypatch, kind, B):
+    model, cost, policy, x0s = _block_case(kind, B)
+    n, snap_idx = 60, [0, 1, 24, 25, 26, 59, 60]
+
+    def run():
+        rec = (np.empty((n, B, 2)), np.empty((n, B, 2)), np.empty((n, B, 2)))
+        costs, snaps = sde._run_chunk(model, x0s, policy, n, 1e-2, np.random.default_rng(3), cost,
+                                      snap_idx, rec)
+        return [costs, snaps, *rec]
+
+    default = run()
+    # 1: one step per block; 50: 25, 3 and 1 steps at B = 1, 7 and 300
+    for block in (1, 50):
+        monkeypatch.setattr(sde, "_BLOCK", block)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(run(), default))
+
+
+def test_simulate_path_noise_is_the_documented_stream():
+    model = n_model()
+    policy = hw.StaticPriority.for_model(model, 0, 0)
+    n, dt = 17000, 1e-4  # more steps than one default block holds at B = 1
+    path = hw.simulate_path(model, [0.2, -0.1], policy, n * dt, dt, seed=8)
+    want = np.zeros((n + 1, 2))
+    want[1:] = np.random.default_rng([8, 0]).standard_normal((n, 2)) * np.sqrt(dt)
+    np.cumsum(want, axis=0, out=want)
+    assert path.noise.tobytes() == want.tobytes()
+
+
+def test_run_chunk_idle_side_of_table_row_zero():
+    # index 0 throughout, paths on both sides of s = 0: a path with s < 0
+    # must read the idle-side column of row 0, R columns on
+    model, cost = n_model(), nmodel_cost()
+    policy = hw.SwitchingControl(model, 1.0, 5.0, seed=2)
+    assert len(policy.table[0]) > 1
+    x0s = np.array([[-1.0, -0.5], [0.3, -2.0], [1.0, 0.5], [-0.2, 0.4]])
+    costs, snaps = sde._run_chunk(model, x0s, policy, 20, 1e-2, np.random.default_rng(4), cost,
+                                  [20])
+    ref_costs, ref_x = reference_chunk(model, x0s, policy, 20, 1e-2, np.random.default_rng(4), cost)
+    assert costs.tobytes() == ref_costs.tobytes()
+    assert snaps[0].tobytes() == ref_x.tobytes()
