@@ -16,10 +16,12 @@ column per path, the idle-side one when ``s < 0``, and scales it by ``|s|``.
 Only one of ``s^+`` and ``s^-`` is nonzero, so this adds the same floats as
 the two-term formula.  A policy with ``table = None`` or with only
 ``controls`` (a blending ``GridMarkov``, user policies) is simulated by the
-same loop, its rows of the step serving as the table.  Either way the
-floats are those of ``drift_batch`` and ``RunningCostSpec.evaluate`` on the
-same rows.  Normal draws come in blocks of several steps, which a generator
-fills with the same values as one draw per step.
+same loop, its rows of the step serving as the table.  Either way, below
+8 classes, the floats are those of ``drift_batch`` and
+``RunningCostSpec.evaluate`` on the same rows; from 8 classes on, numpy sums
+the coordinates in those two pairwise, and the results can differ from the
+loop's in the last bit.  Normal draws come in blocks of several steps, which
+a generator fills with the same values as one draw per step.
 
 Reproducibility is counter-based: path chunks of a fixed layout draw from
 generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
@@ -215,8 +217,11 @@ def simulate_path(
 
 
 def _row_sum(A, out):
-    """Sum over the rows of ``A`` into ``out``, added in row order: the order in
-    which ``drift_batch`` and ``evaluate`` sum the coordinates of ``(B, I)`` states."""
+    """Sum over the rows of ``A`` into ``out``, added in row order.
+
+    Below 8 rows this is the order in which ``drift_batch`` and ``evaluate``
+    sum the coordinates of ``(B, I)`` states; from 8 on, numpy sums those
+    pairwise, so the sums can differ in the last bit."""
     if len(A) == 1:
         np.copyto(out, A[0])
         return out
@@ -248,8 +253,12 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     and, for linear costs, its cost weight; otherwise the weight is scaled
     by ``|s|^p`` or ``|s|^q``, chosen by side.  Exactly one of ``s^+`` and
     ``s^-`` is nonzero, so each sum has the same floats as adding both
-    terms.  A policy with only ``controls`` (or ``table = None``) has its
-    rows of the step as the table, with row ``b`` for path ``b``.
+    terms.  The imbalance is summed in class order (``_row_sum``), as numpy
+    sums fewer than 8 classes, so below 8 classes the drifts and costs are
+    the floats of ``drift_batch`` and ``RunningCostSpec.evaluate``; from 8
+    classes on they can differ in the last bit.  A policy with only
+    ``controls`` (or ``table = None``) has its rows of the step as the
+    table, with row ``b`` for path ``b``.
 
     Normals are drawn in blocks of ``K`` steps, ``(K, B, I)`` of at most
     ``_BLOCK`` values, and scaled once per block.  A generator fills a block
@@ -381,9 +390,12 @@ def path_snapshots(costs, snaps, size):
 
 
 def _mean_stderr(total, total_sq, n):
-    """Sample mean and its standard error from a sum and a sum of squares."""
+    """Sample mean and its standard error from a sum and a sum of squares;
+    the error is NaN for one sample, which gives no estimate of it."""
     mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0) * n / max(n - 1, 1)
+    if n < 2:
+        return mean, np.full_like(mean, np.nan)
+    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
     return mean, np.sqrt(var / n)
 
 

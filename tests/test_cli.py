@@ -82,6 +82,20 @@ def test_simulate_moment_csv(single_file, tmp_path):
     assert len(rows) == 4
 
 
+def test_one_path_reports_no_stderr(tmp_path, capsys):
+    # one path gives no estimate of the error: NaN, written as null
+    out = tmp_path / "ev"
+    assert run("evaluate-policy", "--model", MODELS / "n_model.json", "--paths", "1",
+               "--horizon", "0.1", "--out", out) == 0
+    cost = json.loads((out / "cost.json").read_text())
+    assert cost["mean"] > 0 and cost["stderr"] is None
+    assert "+/- nan" in capsys.readouterr().out
+    assert run("simulate", "--model", MODELS / "n_model.json", "--horizon", "0.1",
+               "--paths", "1", "--moments", "0.05,0.1", "--out", out) == 0
+    rows = (out / "moments.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["nan", "nan"]
+
+
 def test_hjb_pipeline(single_file, tmp_path):
     solve_out = tmp_path / "solve"
     assert run("solve-hjb", "--model", single_file, "--points", "81",

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import hwsched as hw
 from hwsched import sde
-from conftest import n_model, nmodel_cost, single_class_fixture, single_edge_model, tree3_model
+from conftest import (n_model, nmodel_cost, random_tree_model, single_class_fixture,
+                      single_edge_model, tree3_model)
 
 
 def test_zero_noise_zero_drift_stays_at_origin():
@@ -247,11 +248,22 @@ class SignPriority:
         return U, V
 
 
+def _big_tree():
+    """A random tree of at least 8 classes, where numpy sums the coordinates
+    pairwise, with a random linear cost."""
+    rng = np.random.default_rng(8)
+    while True:
+        model = random_tree_model(rng, max_nodes=20, min_nodes=16)
+        if model.classes >= 8:
+            return model, hw.RunningCostSpec(c=rng.uniform(0.5, 3.0, model.classes),
+                                             d=rng.uniform(0.0, 2.0, model.stations))
+
+
 def _models():
     single, single_cost = single_class_fixture()
     tree, tree_cost = tree3_model()
     return {"n_model": (n_model(), nmodel_cost()), "tree3": (tree, tree_cost),
-            "single": (single, single_cost)}
+            "single": (single, single_cost), "big": _big_tree()}
 
 
 def _policy(kind, model, rng):
@@ -266,7 +278,9 @@ def _policy(kind, model, rng):
         return hw.SwitchingControl(model, 0.01, 1.0, seed=int(rng.integers(100))), True
     if kind == "duck":
         return SignPriority(model), True
-    grid = hw.Grid([-2.0] * I, [2.0] * I, rng.integers(3, 6, I))
+    # 3 points a side keep the grids of 8 or more classes small (3^I points)
+    counts = rng.integers(3, 6, I) if I < 8 else np.full(I, 3)
+    grid = hw.Grid([-2.0] * I, [2.0] * I, counts)
     u = np.eye(I)[rng.integers(0, I, grid.size)]
     v = np.eye(J)[rng.integers(0, J, grid.size)]
     blend = kind == "blend"
@@ -274,7 +288,7 @@ def _policy(kind, model, rng):
 
 
 @settings(max_examples=120, deadline=None)
-@given(model_name=st.sampled_from(["n_model", "tree3", "single"]),
+@given(model_name=st.sampled_from(["n_model", "tree3", "single", "big"]),
        kind=st.sampled_from(["uniform", "static", "switch", "grid", "blend", "duck"]),
        convex=st.booleans(), rows=st.integers(1, 40), n_steps=st.integers(0, 25),
        seed=st.integers(0, 2**16))
@@ -291,7 +305,8 @@ def test_run_chunk_matches_reference_euler(model_name, kind, convex, rows, n_ste
                                   cost, [n_steps])
     ref_costs, ref_x = reference_chunk(model, x0s, policy, n_steps, dt,
                                        np.random.default_rng(seed), cost)
-    if vertices:
+    # the same floats below 8 classes; from 8 on the reference sums pairwise
+    if vertices and model.classes < 8:
         assert costs.tobytes() == ref_costs.tobytes()
         assert snaps[0].tobytes() == ref_x.tobytes()
     else:
