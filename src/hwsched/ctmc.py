@@ -6,6 +6,13 @@ pure function of the headcounts after every event.  All replications of a
 run step together in one event loop, each on its own clock and random
 stream.  Emitted paths are the centered, root-n-scaled processes, directly
 comparable with the diffusion simulator output.
+
+The target rules assign a batch from a table with one row per aggregate
+headcount: the lift is linear, so ``Psi = X @ Lx + K[X.sum(1)]`` in exact
+integers, and only rows with a negative entry take the exact path of capped
+targets, lift and greedy fill.  The event loop checks every assignment with
+one integer product and one minimum, naming the broken invariant only when
+that minimum is negative, and takes all event rates from one float product.
 """
 
 from __future__ import annotations
@@ -117,10 +124,17 @@ class _TargetRule:
     """An assignment rule that names queue and idle targets for each state.
 
     The aggregate queue ``s^+`` (or idleness ``s^-``) is forced by the
-    headcounts; a rule's ``_targets`` splits it across classes (stations),
-    and one exact integer contraction with the lifting map turns the targets
-    into the in-service matrix.  Rows whose lift has a negative entry
-    (targets infeasible on the tree) take the greedy fill instead.
+    headcounts; a rule's ``_split`` splits it across classes (stations), and
+    one exact integer contraction with the lifting map turns the targets into
+    the in-service matrix.  The lift is linear, so the rule keeps a table
+    ``K[a]``, one row per aggregate headcount ``a = s + caps.sum()``, holding
+    ``(caps - Z) @ Lz - Y @ Lx`` for the targets of that aggregate; a batch is
+    then ``X @ Lx + K[X.sum(1)]`` in exact integers.  The table is built on
+    first use and, when a queue falls past its end, rebuilt to cover twice
+    that queue, so its size is linear in the largest queue seen.  A row
+    with a negative entry (a target above a headcount, or targets the tree
+    cannot hold) takes the exact path instead: the rule's capped ``_targets``,
+    their lift, and the greedy fill where that lift is still negative.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, queue_class: int = 0,
@@ -134,18 +148,47 @@ class _TargetRule:
         self.station_order.append(idle_station)
         # the lifting map has entries 0 and +-1, so the integer map is exact
         self._lift = lift_matrix(model).reshape(model.classes * model.stations, -1).T.astype(int)
+        # X @ _lift_x is [X @ Lx | X.sum(1)]: the aggregate comes with the product
+        self._lift_x = np.column_stack([self._lift[:model.classes], np.ones(model.classes, int)])
+        self._table = np.empty((0, model.classes * model.stations), dtype=int)  # built on first use
+
+    def _lift_table(self, queues: int) -> np.ndarray:
+        """``K[a]`` for every aggregate headcount ``a`` below ``caps.sum() + queues``."""
+        s = np.arange(-self.caps.sum(), queues)
+        Y, Z = self._split(np.maximum(s, 0), np.maximum(-s, 0))
+        return np.concatenate([-Y, self.caps - Z], axis=1) @ self._lift
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
         """In-service counts ``Psi[R, I, J]`` for the headcounts ``X[R, I]``."""
         X = np.asarray(X)
-        s = X.sum(axis=1) - self.caps.sum()
+        P = X @ self._lift_x
+        total = P[:, -1]
+        try:
+            K = np.take(self._table, total, axis=0)
+        except IndexError:  # a queue past the table's end: cover twice that queue
+            self._table = self._lift_table(max(2 * (total.max() - self.caps.sum()) + 1,
+                                               self.caps.sum() + 1))
+            K = np.take(self._table, total, axis=0)
+        Psi = P[:, :-1] + K
+        if np.minimum.reduce(Psi, axis=None, initial=0) < 0:
+            bad = np.flatnonzero(np.minimum.reduce(Psi, axis=1) < 0)
+            Psi[bad] = self._exact(X[bad])
+        return Psi.reshape(len(X), self.model.classes, self.model.stations)
+
+    def _exact(self, X: np.ndarray) -> np.ndarray:
+        """Flattened assignments of the rule's capped targets, lifted, with
+        the greedy fill for each row whose lift is still negative."""
+        s = np.add.reduce(X, axis=1) - self.caps.sum()
         Y, Z = self._targets(X, np.maximum(s, 0), np.maximum(-s, 0))
-        Psi = (np.concatenate([X - Y, self.caps - Z], axis=1) @ self._lift).reshape(
-            len(X), self.model.classes, self.model.stations)
-        if Psi.min(initial=0) < 0:
-            for r in np.flatnonzero((Psi < 0).any(axis=(1, 2))):
-                Psi[r] = self._greedy_fill(X[r])
+        Psi = np.concatenate([X - Y, self.caps - Z], axis=1) @ self._lift
+        for r in np.flatnonzero(np.minimum.reduce(Psi, axis=1) < 0):
+            Psi[r] = self._greedy_fill(X[r]).ravel()
         return Psi
+
+    def _targets(self, X, pos, neg):
+        """Queue and idle targets of the headcounts ``X``; by default the
+        uncapped split of their aggregates."""
+        return self._split(pos, neg)
 
     def _greedy_fill(self, x: np.ndarray) -> np.ndarray:
         """One state's greedy assignment: the classes in ``class_order`` take
@@ -180,10 +223,10 @@ class GreedyPriority(_TargetRule):
 
     assign = _TargetRule.assign  # an attribute of its own, which perfbench's traced mode wraps
 
-    def _targets(self, X, pos, neg):
-        Y = np.zeros_like(X)
+    def _split(self, pos, neg):
+        Y = np.zeros((len(pos), self.model.classes), dtype=int)
         Y[:, self.queue_class] = pos
-        Z = np.zeros((len(X), self.model.stations), dtype=int)
+        Z = np.zeros((len(neg), self.model.stations), dtype=int)
         Z[:, self.idle_station] = neg
         return Y, Z
 
@@ -225,7 +268,10 @@ class ImbalanceTracking(_TargetRule):
     tree flow equations.  When the targets are infeasible on the tree it
     falls back to the greedy fill of ``GreedyPriority(model, scaling)`` with
     the work-conserving rebalancing pass.  The splits are tabulated by
-    aggregate: idleness up to the capacity, queues up to the largest seen.
+    aggregate: idleness up to the capacity, queues as far as the lift table
+    reaches.  The table holds the splits before the headcount cap, so a row
+    whose queue target exceeds a headcount reads a negative lift and is
+    recomputed with the cap.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, point: ControlPoint):
@@ -237,10 +283,14 @@ class ImbalanceTracking(_TargetRule):
 
     assign = _TargetRule.assign
 
-    def _targets(self, X, pos, neg):
+    def _split(self, pos, neg):
         if pos.max(initial=0) >= len(self._queue):
-            self._queue = _largest_remainder(self.point.u, np.arange(2 * pos.max() + 1))
-        return _cap_targets(self._queue[pos], X), self._idle[neg]
+            self._queue = _largest_remainder(self.point.u, np.arange(pos.max() + 1))
+        return self._queue[pos], self._idle[neg]
+
+    def _targets(self, X, pos, neg):
+        Y, Z = self._split(pos, neg)
+        return _cap_targets(Y, X), Z
 
 
 @dataclass(frozen=True)
@@ -255,25 +305,22 @@ class CtmcPath:
     events: int
 
 
-def _check_state(model, X, Psi, caps):
-    """Queue and idle counts ``(Y[R, I], Z[R, J])`` of a batch of assignments;
-    raises unless every assignment is valid."""
-    Y = X - Psi.sum(axis=2)
-    Z = caps - Psi.sum(axis=1)
+def _invalid_assignment(model, X, Psi) -> ValueError:
+    """The first invariant that a batch of assignments ``Psi[R, I, J]``
+    breaks, as the error to raise."""
     if Psi.min() < 0:
-        raise ValueError("assignment rule produced negative in-service counts")
+        return ValueError("assignment rule produced negative in-service counts")
     if Psi[:, ~model.edge_mask].any():
-        raise ValueError("assignment rule used a non-activity")
-    if Y.min() < 0:
-        raise ValueError("assignment rule violated the class headcount identity")
-    if Z.min() < 0:
-        raise ValueError("assignment rule violated the station capacity identity")
-    return Y, Z
+        return ValueError("assignment rule used a non-activity")
+    if (X - Psi.sum(axis=2)).min() < 0:
+        return ValueError("assignment rule violated the class headcount identity")
+    return ValueError("assignment rule violated the station capacity identity")
 
 
-# uniforms are drawn per replication in blocks of this many steps: 512 bytes
-# per replication, so 10 000 replications hold 5 MB of them
-_BLOCK_STEPS = 32
+# uniforms are drawn per replication in blocks of this many steps: 2 KB per
+# replication, so 10 000 replications hold 20 MB of them; at 1000
+# replications a block of 32 steps spent a sixth of the loop on the draw calls
+_BLOCK_STEPS = 128
 
 
 def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
@@ -283,34 +330,51 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
     Row r draws two uniforms per event from ``default_rng(seeds[r] + [31])``:
     the holding time is ``-log(u1) / total`` and the event is the first whose
     cumulative rate exceeds ``u2 * total``.  After every event the rule
-    reassigns all servers and the assignment is checked.  A row leaves the
-    batch once its next event falls past ``horizon`` or its last sample is
-    taken, so its path does not depend on the other rows.  Returns the sample
-    times (default: 11 over the horizon), the integer samples ``(X, Y, Z)``,
-    each row's event count and the realized start.
+    reassigns all servers and the assignment is checked in one integer
+    product: each row's ``[Psi | Y | Z | -Psi_off | 1]`` is ``[0 | X | caps |
+    0 | 1] + Psi_flat @ check``, and one minimum over the batch must not be
+    negative (on failure the first broken invariant is named).  The rates
+    ``[arrivals | completions | abandonments]`` are one float product of that
+    vector; each entry is one rate times one count plus exact zeros, so it is
+    the bare product.  A row leaves the batch once its next event falls past
+    ``horizon`` or its last sample is taken, so its path does not depend on
+    the other rows.  Returns the sample times (default: 11 over the horizon),
+    the integer samples ``(X, Y, Z)``, each row's event count and the
+    realized start.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 11)
     sample_times = np.asarray(sample_times, dtype=float)
-    R, S, I = len(seeds), len(sample_times), model.classes
+    R, S, I, J = len(seeds), len(sample_times), model.classes, model.stations
+    IJ = I * J
     caps = scaling.server_counts(model)
     ei, ej = np.array(model.edges).T
-    flat = ei * model.stations + ej
-    mu = scaling.service_rates(model)[ei, ej]
+    E = len(ei)
+    off = np.flatnonzero(~model.edge_mask.ravel())
+    # columns of the check vector: Psi, Y, Z, -Psi_off and the constant 1
+    ys, zs = slice(IJ, IJ + I), slice(IJ + I, IJ + I + J)
+    width = IJ + I + J + len(off) + 1
+    check = np.zeros((IJ, width), dtype=int)
+    check[:, :IJ] = np.eye(IJ, dtype=int)
+    check[:, ys] = -np.kron(np.eye(I, dtype=int), np.ones((J, 1), dtype=int))
+    check[:, zs] = -np.tile(np.eye(J, dtype=int), (I, 1))
+    check[off, IJ + I + J + np.arange(len(off))] = -1
+    rate_map = np.zeros((width, I + E + I))
+    rate_map[-1, :I] = scaling.arrival_rates(model)
+    rate_map[ei * J + ej, I + np.arange(E)] = scaling.service_rates(model)[ei, ej]
+    rate_map[ys, I + E:] = np.diag(model.theta)
     unit = np.eye(I, dtype=int)
     moves = np.concatenate([unit, -unit[ei], -unit])  # arrivals, completions, abandonments
-    svc, ab = slice(I, I + len(flat)), slice(I + len(flat), None)
     X0, realized = initial_headcounts(model, scaling, x_hat0)
     gens = [np.random.default_rng(key + [31]) for key in seeds]
     due_at = np.append(sample_times, np.inf)
     end = horizon + 1e-12
-    rec = (np.empty((R, S, I), int), np.empty((R, S, I), int),
-           np.empty((R, S, model.stations), int))
+    rec = (np.empty((R, S, I), int), np.empty((R, S, I), int), np.empty((R, S, J), int))
     events = np.zeros(R, dtype=int)
     rows = np.arange(R)  # replication of each active row
-    X = np.tile(X0, (R, 1))
-    rates = np.zeros((R, len(moves)))
-    rates[:, :I] = scaling.arrival_rates(model)
+    base = np.zeros((R, width), dtype=int)  # [0 | X | caps | 0 | 1]; X is a view of it
+    base[:, ys], base[:, zs], base[:, -1] = X0, caps, 1
+    X = base[:, ys]
     t = np.zeros(R)
     si = np.zeros(R, dtype=int)
     limit = np.full(R, -np.inf)  # a row needs attention once its next event passes this
@@ -318,39 +382,42 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
     with np.errstate(divide="ignore"):  # a row with no possible event waits forever
         while rows.size:
             Psi = rule.assign_batch(X)
-            Y, Z = _check_state(model, X, Psi, caps)
-            np.multiply(Psi.reshape(len(X), -1)[:, flat], mu, out=rates[:, svc])
-            np.multiply(model.theta, Y, out=rates[:, ab])
-            cum = rates.cumsum(axis=1)
+            V = base + Psi.reshape(-1, IJ) @ check
+            if np.minimum.reduce(V, axis=None) < 0:
+                raise _invalid_assignment(model, X, Psi)
+            cum = np.add.accumulate(V @ rate_map, axis=1)
+            total = cum[:, -1]
             k = step % _BLOCK_STEPS
             if k == 0:
                 u = np.empty((rows.size, _BLOCK_STEPS, 2))
                 for a, r in enumerate(rows):
                     gens[r].random(out=u[a])
-            t_next = t - np.log(u[:, k, 0]) / cum[:, -1]
-            if (t_next > limit).any():
+            t_next = t - np.log(u[:, k, 0]) / total
+            if np.logical_or.reduce(t_next > limit):
+                Y, Z = V[:, ys], V[:, zs]
                 due = due_at[si] < t_next
-                while due.any():
+                while np.logical_or.reduce(due):
                     d = np.flatnonzero(due)
                     for out, val in zip(rec, (X, Y, Z)):
                         out[rows[d], si[d]] = val[d]
                     si += due
                     due = due_at[si] < t_next
                 done = (si == S) | (t_next > end)
-                if done.any():
+                if np.logical_or.reduce(done):
                     d = np.flatnonzero(done)
                     tail = (np.arange(S) >= si[d, None])[..., None]
                     for out, val in zip(rec, (X, Y, Z)):
                         out[rows[d]] = np.where(tail, val[d, None], out[rows[d]])
                     events[rows[d]] = step
                     keep = ~done
-                    rows, X, rates, cum, t_next, si, u = (
-                        rows[keep], X[keep], rates[keep], cum[keep], t_next[keep], si[keep], u[keep])
+                    rows, base, cum, total, t_next, si, u = (rows[keep], base[keep], cum[keep],
+                                                             total[keep], t_next[keep], si[keep], u[keep])
+                    X = base[:, ys]
                 limit = np.minimum(due_at[si], end)
             t = t_next
             # u2 < 1 keeps u2 * total below the last cumulative rate, so the
             # pick is an event of positive rate
-            X += moves[(cum <= (u[:, k, 1] * cum[:, -1])[:, None]).sum(axis=1)]
+            X += moves[np.add.reduce(cum <= (u[:, k, 1] * total)[:, None], axis=1)]
             step += 1
     return sample_times, rec, events, realized
 

@@ -420,20 +420,26 @@ class CostEstimate:
 def _tail_bound(cost, gamma, horizon, times, moments):
     """Bound the discounted cost beyond the horizon.
 
-    Fits ``log E||X||^m`` against ``log(1+t)`` and integrates the cost
-    envelope ``scale * (1 + moment(t))`` under the discount from the horizon
-    on.
+    Fits ``log E||X||^m`` against ``log t`` (a power law in time, which also
+    holds at short horizons, where ``log(1 + t)`` is nearly ``t`` and the
+    fitted exponent blows up) and integrates the cost envelope
+    ``scale * (1 + moment(t))`` under the discount from the horizon on.
+    Snapshots all at one time (a run of fewer than 8 steps, or of none) fit
+    a constant moment.
     """
     # imported here, like pathops' scipy.signal, to keep `import hwsched` light
     from scipy.integrate import quad
 
+    times = np.asarray(times, dtype=float)
     mom = np.maximum(np.asarray(moments, dtype=float), 1e-300)
     if mom.max() < 1e-12:
         poly = lambda t: 0.0
+    elif np.ptp(times) == 0.0:
+        poly = lambda t: np.exp(np.log(mom).mean())
     else:
-        A = np.column_stack([np.ones_like(times), np.log1p(times)])
+        A = np.column_stack([np.ones_like(times), np.log(times)])
         coef, *_ = np.linalg.lstsq(A, np.log(mom), rcond=None)
-        poly = lambda t: np.exp(coef[0]) * (1.0 + t) ** min(coef[1], 50.0)
+        poly = lambda t: np.exp(coef[0]) * t ** min(coef[1], 50.0)
     integrand = lambda t: np.exp(-gamma * t) * (1.0 + poly(t))
     val, _ = quad(integrand, horizon, np.inf, limit=200)
     return cost.growth_scale * val

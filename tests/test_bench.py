@@ -107,9 +107,16 @@ def test_sides_alternate_across_repeats(bench, name, capsys):
                 "normals_blocked_us": 1.0, "iterations": 1, "converged": True,
                 "solvers": ["spsolve"], "values": [1.0], "events": 1}
 
-    rows = bench.run_case(name, {"parent": "P", "change": "C"}, fake_measure)
+    def fake_warm_up(tree):
+        calls.append((tree, "warm-up"))
+
+    rows = bench.run_case(name, {"parent": "P", "change": "C"}, fake_measure, fake_warm_up)
     workloads = bench.cases()[name].workloads
     assert len(rows) == len(workloads)
+    # each side is warmed up once, before any timed run
+    assert calls[:2] == [("P", "warm-up"), ("C", "warm-up")]
+    calls = calls[2:]
+    assert ("P", "warm-up") not in calls and ("C", "warm-up") not in calls
     pairs = iter(zip(calls[::2], calls[1::2]))
     for key, repeats in workloads:
         for i, args in enumerate(repeats):

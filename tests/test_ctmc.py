@@ -294,7 +294,7 @@ def test_scaled_moments_approach_diffusion(rng):
 
 # -- batched rules against the per-state references ---------------------------
 
-MODELS = {"n_model": n_model, "single_edge": single_edge_model}
+MODELS = {"n_model": n_model, "single_edge": single_edge_model, "tree3": lambda: tree3_model()[0]}
 
 
 def _weights(raw):
@@ -307,39 +307,57 @@ def _assign_cases(draw):
     name = draw(st.sampled_from(sorted(MODELS)))
     model = MODELS[name]()
     n = draw(st.integers(1, 400))
-    X = draw(st.lists(st.lists(st.integers(0, 3 * n), min_size=model.classes,
-                               max_size=model.classes), min_size=1, max_size=12))
+    row = st.lists(st.integers(0, 3 * n), min_size=model.classes, max_size=model.classes)
+    batches = draw(st.lists(st.lists(row, min_size=1, max_size=12), min_size=1, max_size=3))
     u = draw(st.lists(st.integers(0, 4), min_size=model.classes, max_size=model.classes))
     v = draw(st.lists(st.integers(0, 4), min_size=model.stations, max_size=model.stations))
-    return name, n, X, u, v
+    return name, n, batches, u, v
 
 
 @settings(max_examples=150, deadline=None)
 @given(_assign_cases())
 # targets infeasible on the tree (the fallback), and uniform splits of odd totals (ties)
-@example(("n_model", 100, [[120, 140], [60, 100], [101, 100], [60, 39]], [1, 3], [1, 0]))
-@example(("n_model", 100, [[101, 100], [60, 39], [0, 0], [300, 0]], [1, 1], [2, 2]))
-@example(("single_edge", 7, [[0], [7], [21], [3]], [1], [1]))
+@example(("n_model", 100, [[[120, 140], [60, 100], [101, 100], [60, 39]]], [1, 3], [1, 0]))
+@example(("n_model", 100, [[[101, 100], [60, 39], [0, 0], [300, 0]]], [1, 1], [2, 2]))
+@example(("single_edge", 7, [[[0], [7], [21], [3]]], [1], [1]))
+# one rule object over three batches: queues past the end of the lift table
+# (which covers totals up to 4n here), then a smaller batch, then queue
+# targets above a headcount among feasible rows.  On the N model the capped
+# targets always lift to the greedy fill's assignment; on tree3 they do not
+# ([102, 76, 61] queues 159, split 27 / 26 / 106, capped at 61 for class 2)
+@example(("n_model", 100, [[[300, 290], [60, 39], [0, 600]], [[101, 100], [0, 5]],
+                           [[120, 140], [10, 250], [150, 50], [60, 100], [250, 10]]],
+          [1, 3], [1, 1]))
+@example(("tree3", 40, [[[200, 150, 100], [20, 40, 20]], [[10, 20, 30]],
+                        [[102, 76, 61], [20, 40, 20], [97, 80, 0], [4, 91, 87], [10, 10, 10]]],
+          [1, 1, 4], [1, 1]))
+@example(("single_edge", 50, [[[150], [20]], [[0], [50], [51]]], [1], [1]))
 def test_assign_batch_matches_scalar_reference(case):
     """Every batched row equals the per-state rule it replaced, exactly: the
     greedy rule at every (queue class, idle station) and the tracking rule
-    at integer, uniform and vertex weights."""
-    name, n, X, u, v = case
+    at integer, uniform and vertex weights.  Each rule object assigns every
+    batch in turn, so its lift table grows and is reused across batches.
+    On tree3 only the tracking rule is compared: there the greedy rule holds
+    its vertex where the bare greedy fill would not (see
+    ``test_greedy_holds_its_vertex_on_tree3``)."""
+    name, n, batches, u, v = case
     model = MODELS[name]()
     scaling = hw.ScalingSpec.centered(model, n)
     caps = scaling.server_counts(model)
-    X = np.array(X)
-    for qc in range(model.classes):
-        for js in range(model.stations):
-            got = hw.GreedyPriority(model, scaling, qc, js).assign_batch(X)
-            for r, x in enumerate(X):
-                np.testing.assert_array_equal(got[r], _ref_greedy(model, caps, qc, js, x))
+    greedy = {(qc, js): hw.GreedyPriority(model, scaling, qc, js)
+              for qc in range(model.classes) for js in range(model.stations)
+              if name != "tree3"}
     point = hw.ControlPoint(_weights(u), _weights(v))
     rule = hw.ImbalanceTracking(model, scaling, point)
-    got = rule.assign_batch(X)
-    for r, x in enumerate(X):
-        np.testing.assert_array_equal(got[r], _ref_tracking(model, caps, point, x))
-        np.testing.assert_array_equal(rule.assign(x), got[r])
+    for X in map(np.array, batches):
+        for (qc, js), greedy_rule in greedy.items():
+            got = greedy_rule.assign_batch(X)
+            for r, x in enumerate(X):
+                np.testing.assert_array_equal(got[r], _ref_greedy(model, caps, qc, js, x))
+        got = rule.assign_batch(X)
+        for r, x in enumerate(X):
+            np.testing.assert_array_equal(got[r], _ref_tracking(model, caps, point, x))
+            np.testing.assert_array_equal(rule.assign(x), got[r])
 
 
 def test_largest_remainder_batch_matches_rows():
@@ -383,6 +401,47 @@ def test_greedy_holds_its_vertex_on_tree3():
 
 
 # -- the event loop -----------------------------------------------------------
+
+
+class _BrokenRule:
+    """Assigns nothing but the one entry that breaks ``kind``; on ``n_model``
+    at n = 16 (16 servers a station) from the fluid point ``X = (8, 24)``,
+    each kind breaks exactly one invariant."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def assign_batch(self, X):
+        Psi = np.zeros((len(X), 2, 2), dtype=int)
+        if self.kind == "negative":
+            Psi[:, 0, 0] = -1
+        elif self.kind == "non-activity":
+            Psi[:, 0, 1] = 1  # class 0 cannot be served at station 1
+        elif self.kind == "headcount":
+            Psi[:, 0, 0] = X[:, 0] + 1
+        else:
+            Psi[:, 1, 0] = 17
+        return Psi
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("negative", "assignment rule produced negative in-service counts"),
+    ("non-activity", "assignment rule used a non-activity"),
+    ("headcount", "assignment rule violated the class headcount identity"),
+    ("capacity", "assignment rule violated the station capacity identity"),
+])
+def test_broken_rule_names_its_invariant(kind, message):
+    model = n_model()
+    scaling = hw.ScalingSpec.centered(model, 16)
+    caps = scaling.server_counts(model)
+    X = np.tile(hw.initial_headcounts(model, scaling, [0.0, 0.0])[0], (3, 1))
+    rule = _BrokenRule(kind)
+    Psi = rule.assign_batch(X)
+    broken = [Psi.min() < 0, Psi[:, ~model.edge_mask].any(),
+              (X - Psi.sum(axis=2)).min() < 0, (caps - Psi.sum(axis=1)).min() < 0]
+    assert sum(broken) == 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hw.run_replications(model, scaling, rule, [0.0, 0.0], 1.0, 3, seed=4)
 
 
 def test_replication_paths_do_not_depend_on_the_batch(monkeypatch):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,33 @@ def test_mc_cost_state_independent_cost_is_exact():
     assert est.mean == pytest.approx(left_rule, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
     assert est.mean + est.tail_bound == pytest.approx(1.0, abs=2e-3)
+
+
+def test_tail_bound_fits_a_power_law_in_time():
+    """Moments that follow ``2 t^1.5`` give the discounted integral of that
+    envelope, at a short horizon too; snapshots all at ``t = 0`` (no steps)
+    give a constant envelope."""
+    from scipy.integrate import quad
+
+    cost = nmodel_cost()
+    times = np.geomspace(8e-3, 0.1, 6)
+    exact = quad(lambda t: np.exp(-t) * (1.0 + 2.0 * t**1.5), 0.1, np.inf)[0]
+    got = sde._tail_bound(cost, 1.0, 0.1, times, 2.0 * times**1.5)
+    assert got == pytest.approx(cost.growth_scale * exact, rel=1e-6)
+    still = sde._tail_bound(cost, 1.0, 0.0, np.zeros(6), np.full(6, 3.0))
+    assert still == pytest.approx(cost.growth_scale * 4.0, rel=1e-6)
+
+
+def test_tail_bound_stays_moderate_at_short_horizons():
+    """From the origin the moments grow like a power of t; fitted against
+    ``log(1 + t)`` they read as a steep exponent and a bound near 3e10 at
+    horizon 0.1.  The bound must fall with the horizon and stay of the order
+    of the whole discounted cost (about 1.7 here)."""
+    model, cost = hw.load_model(Path(__file__).resolve().parents[1] / "models" / "n_model.json")
+    policy = sde.FixedControl(hw.ControlPoint.uniform(model.classes, model.stations))
+    tails = [hw.mc_cost(model, cost, [0.0, 0.0], policy, 200, horizon=h, seed=0).tail_bound
+             for h in (0.1, 1.0)]
+    assert 1.0 < tails[1] < tails[0] < 50.0
 
 
 def test_mc_cost_reproducible_across_seeds():

@@ -5,10 +5,11 @@ Run from the checkout root:
     python tools/bench.py CASE PARENT_REV
 
 ``PARENT_REV`` is exported with ``git archive``; the change is the working
-tree.  Every measurement runs in a fresh process, in the checkout it
-measures, with ``PYTHONPATH=<checkout>/src`` and BLAS pinned to one thread.
-The two sides alternate which runs first from one repeat to the next.  The
-cases:
+tree.  Both checkouts have their bytecode compiled once, untimed, before
+the first timed run.  Every measurement runs in a fresh process, in the
+checkout it measures, with ``PYTHONPATH=<checkout>/src`` and BLAS pinned to
+one thread.  The two sides alternate which runs first from one repeat to the
+next.  The cases:
 
 - ``euler``: path-steps per second of ``sde._run_chunk`` on
   ``models/n_model.json`` with its linear cost and dt 1e-3, from starts drawn
@@ -84,6 +85,15 @@ def measure(case: str, tree: Path, args) -> dict:
     return json.loads(out.stdout)
 
 
+def warm_up(tree: Path) -> None:
+    """Compiles a checkout's bytecode, untimed.  Under PYTHONDONTWRITEBYTECODE
+    a fresh export never caches its bytecode, so without this every timed run
+    of the parent would compile its modules while the change read them from
+    ``__pycache__``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "tools", "perfbench"],
+                   cwd=tree, capture_output=True, check=True)
+
+
 def machine() -> dict:
     cpu = platform.processor()
     with suppress(OSError):
@@ -111,10 +121,12 @@ def make_row(case: Case, key: dict, runs: dict) -> dict:
     return row
 
 
-def run_case(name: str, trees: dict, measure=measure) -> list:
-    """Every workload of a case on both trees; the side that runs first
-    alternates from one repeat to the next."""
+def run_case(name: str, trees: dict, measure=measure, warm_up=warm_up) -> list:
+    """Every workload of a case on both trees, each warmed up once first; the
+    side that runs first alternates from one repeat to the next."""
     case, rows = cases()[name], []
+    for side in SIDES:
+        warm_up(trees[side])
     for key, repeats in case.workloads:
         runs = {side: [] for side in SIDES}
         for i, args in enumerate(repeats):
