@@ -83,6 +83,8 @@ def _floats(text, n=None, name="value"):
         raise CliError(f"cannot parse {name}: {text!r}") from exc
     if n is not None and len(vals) != n:
         raise CliError(f"{name} needs {n} comma-separated numbers")
+    if not np.isfinite(vals).all():
+        raise CliError(f"{name} must be finite: {text!r}")
     return np.array(vals)
 
 
@@ -106,8 +108,8 @@ def _parse_policy(spec, model, horizon, seed):
         return sde.StaticPriority.for_model(model, *_static_edge(spec, model))
     if spec.startswith("switch:"):
         period = _floats(spec[7:], 1, "switch period")[0]
-        if not 0.0 < period < np.inf:
-            raise CliError(f"switch period must be positive and finite: {spec!r}")
+        if period <= 0:
+            raise CliError(f"switch period must be positive: {spec!r}")
         return sde.SwitchingControl(model, period, horizon, seed=seed)
     if not Path(spec).exists():
         raise CliError(f"policy file not found: {spec}")

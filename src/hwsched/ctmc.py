@@ -10,7 +10,9 @@ comparable with the diffusion simulator output.
 The target rules assign a batch from a table with one row per aggregate
 headcount: the lift is linear, so ``Psi = X @ Lx + K[X.sum(1)]`` in exact
 integers, and only rows with a negative entry take the exact path of capped
-targets, lift and greedy fill.  The event loop checks every assignment with
+targets, lift and greedy fill.  The table is built once, when the rule is
+made, for every aggregate below ``2 * caps.sum() + 1``; an aggregate past it
+takes the exact path.  The event loop checks every assignment with
 one integer product and one minimum, naming the broken invariant only when
 that minimum is negative, and takes all event rates from one float product.
 """
@@ -69,55 +71,40 @@ def initial_headcounts(model: TreeModel, scaling: ScalingSpec, x_hat0):
 
 def _augment_work(model: TreeModel, X, Psi, caps):
     """Shuffle assignments along tree paths until no queued customer can
-    reach idle capacity (preemption allowed).  Mutates ``Psi``."""
+    reach idle capacity (preemption allowed).  Mutates ``Psi``.
+
+    The search runs breadth-first over node ids (class ``i``, station
+    ``I + j``) from every class with a queue: a class reaches its stations,
+    a station only the classes it serves, until a station with idle room."""
+    I = model.classes
     while True:
         Y = X - Psi.sum(axis=1)
         Z = caps - Psi.sum(axis=0)
         if Y.sum() == 0 or Z.sum() == 0:
             return
-        parent: dict = {}
+        parent = {i: None for i in range(I) if Y[i] > 0}
+        queue = deque(parent)
         found = None
-        queue = deque(("c", i) for i in range(model.classes) if Y[i] > 0)
-        seen = set(queue)
         while queue and found is None:
-            kind, a = queue.popleft()
-            if kind == "c":
-                for j in range(model.stations):
-                    if model.edge_mask[a, j] and ("s", j) not in seen:
-                        seen.add(("s", j))
-                        parent[("s", j)] = a
-                        if Z[j] > 0:
-                            found = j
-                            break
-                        queue.append(("s", j))
-            else:
-                for i in range(model.classes):
-                    if Psi[i, a] > 0 and ("c", i) not in seen:
-                        seen.add(("c", i))
-                        parent[("c", i)] = a
-                        queue.append(("c", i))
+            a = queue.popleft()
+            for b in model.adjacency[a]:
+                if b in parent or (a >= I and Psi[b, a - I] <= 0):
+                    continue
+                parent[b] = a
+                if b >= I and Z[b - I] > 0:
+                    found = b
+                    break
+                queue.append(b)
         if found is None:
             return
-        # walk back: station, class, station, ..., class with queue
-        path = [("s", found)]
-        while True:
-            kind, a = path[-1]
-            p = parent[path[-1]]
-            path.append(("c", p) if kind == "s" else ("s", p))
-            if kind == "s" and Y[p] > 0 and ("c", p) not in parent:
-                break
-        path.reverse()  # class, station, class, ..., station with idle room
-        delta = min(Y[path[0][1]], Z[found])
-        for k in range(1, len(path) - 1, 2):
-            j = path[k][1]
-            i_next = path[k + 1][1]
-            delta = min(delta, Psi[i_next, j])
-        for k in range(0, len(path) - 1, 2):
-            i = path[k][1]
-            j = path[k + 1][1]
-            Psi[i, j] += delta
-            if k + 2 < len(path):
-                Psi[path[k + 2][1], j] -= delta
+        path = [found]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()  # class with queue, station, class, ..., station with idle room
+        cls, st = path[::2], [b - I for b in path[1::2]]
+        delta = min(Y[cls[0]], Z[st[-1]], *Psi[cls[1:], st[:-1]])
+        Psi[cls, st] += delta
+        Psi[cls[1:], st[:-1]] -= delta
 
 
 class _TargetRule:
@@ -126,15 +113,16 @@ class _TargetRule:
     The aggregate queue ``s^+`` (or idleness ``s^-``) is forced by the
     headcounts; a rule's ``_split`` splits it across classes (stations), and
     one exact integer contraction with the lifting map turns the targets into
-    the in-service matrix.  The lift is linear, so the rule keeps a table
-    ``K[a]``, one row per aggregate headcount ``a = s + caps.sum()``, holding
+    the in-service matrix.  The lift is linear, so the rule builds one table
+    ``K[a]`` at construction, one row per aggregate headcount
+    ``a = s + caps.sum()`` below ``2 * caps.sum() + 1``, holding
     ``(caps - Z) @ Lz - Y @ Lx`` for the targets of that aggregate; a batch is
-    then ``X @ Lx + K[X.sum(1)]`` in exact integers.  The table is built on
-    first use and, when a queue falls past its end, rebuilt to cover twice
-    that queue, so its size is linear in the largest queue seen.  A row
-    with a negative entry (a target above a headcount, or targets the tree
-    cannot hold) takes the exact path instead: the rule's capped ``_targets``,
-    their lift, and the greedy fill where that lift is still negative.
+    then ``X @ Lx + K[X.sum(1)]`` in exact integers.  A row with a negative
+    entry (a target above a headcount, or targets the tree cannot hold) takes
+    the exact path instead: the rule's capped ``_targets``, their lift, and the
+    greedy fill where that lift is still negative.  An aggregate past the
+    table reads a last row far below any real lift, so it takes the exact
+    path too; the rule is never mutated after construction.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, queue_class: int = 0,
@@ -150,26 +138,19 @@ class _TargetRule:
         self._lift = lift_matrix(model).reshape(model.classes * model.stations, -1).T.astype(int)
         # X @ _lift_x is [X @ Lx | X.sum(1)]: the aggregate comes with the product
         self._lift_x = np.column_stack([self._lift[:model.classes], np.ones(model.classes, int)])
-        self._table = np.empty((0, model.classes * model.stations), dtype=int)  # built on first use
-
-    def _lift_table(self, queues: int) -> np.ndarray:
-        """``K[a]`` for every aggregate headcount ``a`` below ``caps.sum() + queues``."""
-        s = np.arange(-self.caps.sum(), queues)
+        s = np.arange(-self.caps.sum(), self.caps.sum() + 1)
         Y, Z = self._split(np.maximum(s, 0), np.maximum(-s, 0))
-        return np.concatenate([-Y, self.caps - Z], axis=1) @ self._lift
+        table = np.concatenate([-Y, self.caps - Z], axis=1) @ self._lift
+        # the last row, read by every aggregate past the table, is halved so
+        # that adding X @ Lx to it cannot wrap around
+        self._table = np.vstack([table, np.full(table.shape[1], np.iinfo(int).min // 2)])
+        self._table.flags.writeable = False
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
         """In-service counts ``Psi[R, I, J]`` for the headcounts ``X[R, I]``."""
         X = np.asarray(X)
         P = X @ self._lift_x
-        total = P[:, -1]
-        try:
-            K = np.take(self._table, total, axis=0)
-        except IndexError:  # a queue past the table's end: cover twice that queue
-            self._table = self._lift_table(max(2 * (total.max() - self.caps.sum()) + 1,
-                                               self.caps.sum() + 1))
-            K = np.take(self._table, total, axis=0)
-        Psi = P[:, :-1] + K
+        Psi = P[:, :-1] + np.take(self._table, P[:, -1], axis=0, mode="clip")
         if np.minimum.reduce(Psi, axis=None, initial=0) < 0:
             bad = np.flatnonzero(np.minimum.reduce(Psi, axis=1) < 0)
             Psi[bad] = self._exact(X[bad])
@@ -267,26 +248,20 @@ class ImbalanceTracking(_TargetRule):
     capped by the headcounts (capacities), and lifts the targets through the
     tree flow equations.  When the targets are infeasible on the tree it
     falls back to the greedy fill of ``GreedyPriority(model, scaling)`` with
-    the work-conserving rebalancing pass.  The splits are tabulated by
-    aggregate: idleness up to the capacity, queues as far as the lift table
-    reaches.  The table holds the splits before the headcount cap, so a row
-    whose queue target exceeds a headcount reads a negative lift and is
-    recomputed with the cap.
+    the work-conserving rebalancing pass.  The lift table holds the splits
+    before the headcount cap, so a row whose queue target exceeds a
+    headcount reads a negative lift and is recomputed with the cap.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, point: ControlPoint):
+        self.point = point  # the table built by the base class splits by it
         super().__init__(model, scaling)
-        self.point = point
-        self._idle = _cap_targets(
-            _largest_remainder(point.v, np.arange(self.caps.sum() + 1)), self.caps)
-        self._queue = _largest_remainder(point.u, np.arange(self.caps.sum() + 1))
 
     assign = _TargetRule.assign
 
     def _split(self, pos, neg):
-        if pos.max(initial=0) >= len(self._queue):
-            self._queue = _largest_remainder(self.point.u, np.arange(pos.max() + 1))
-        return self._queue[pos], self._idle[neg]
+        return (_largest_remainder(self.point.u, pos),
+                _cap_targets(_largest_remainder(self.point.v, neg), self.caps))
 
     def _targets(self, X, pos, neg):
         Y, Z = self._split(pos, neg)

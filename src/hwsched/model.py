@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -125,17 +125,23 @@ class TreeModel:
             nbrs[self.station_node(j)].append(i)
         return tuple(tuple(sorted(b)) for b in nbrs)
 
-    @cached_property
-    def is_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
+    def _search(self, src: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Breadth-first distances and parents from node ``src``, both keyed
+        in visit order (neighbors in increasing node id)."""
+        dist, parent = {src: 0}, {}
+        queue = deque([src])
         while queue:
             v = queue.popleft()
             for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
                     queue.append(w)
-        return len(seen) == self.node_count
+        return dist, parent
+
+    @cached_property
+    def is_connected(self) -> bool:
+        return len(self._search(0)[0]) == self.node_count
 
     @cached_property
     def is_tree(self) -> bool:
@@ -143,27 +149,12 @@ class TreeModel:
 
     @cached_property
     def diameter(self) -> int | None:
-        """Graph diameter in edges, or None when disconnected."""
+        """Graph diameter in edges, or None when disconnected: the largest
+        distance from the first node that is farthest from node 0."""
         if not self.is_connected:
             return None
-
-        def farthest(src):
-            dist = {src: 0}
-            queue = deque([src])
-            far, fd = src, 0
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        if dist[w] > fd:
-                            far, fd = w, dist[w]
-                        queue.append(w)
-            return far, fd
-
-        a, _ = farthest(0)
-        _, d = farthest(a)
-        return d
+        dist = self._search(0)[0]
+        return max(self._search(max(dist, key=dist.get))[0].values())
 
     @cached_property
     def elimination_order(self) -> tuple[tuple[int, int], ...]:
@@ -262,6 +253,8 @@ class RunningCostSpec:
     def check(self) -> list[str]:
         """Violations of the running-cost family requirements (empty = ok)."""
         bad = []
+        if not all(np.isfinite(getattr(self, f.name)).all() for f in fields(self)):
+            bad.append("weights, exponents and offset must be finite")
         if (self.c < 0).any():
             bad.append("queue weights must be nonnegative")
         if (self.d < 0).any():
@@ -359,6 +352,10 @@ def validate_model(model: TreeModel) -> ValidationReport:
     """
     bad = []
     I, J = model.classes, model.stations
+    # every field after classes, stations and edges holds rates or fluid constants
+    nonfinite = [f.name for f in fields(model)[3:] if not np.isfinite(getattr(model, f.name)).all()]
+    if nonfinite:
+        bad.append("non-finite numbers in " + ", ".join(nonfinite))
     n_edges = len(model.edges)
     if len(set(model.edges)) != n_edges:
         bad.append("duplicate edges")
@@ -407,24 +404,13 @@ def build_combinatorics(model: TreeModel, root: int = 0) -> TreeCombinatorics:
         raise ValueError(f"root must be a class node, got {root}")
     if not model.is_tree:
         raise StructureError("activity graph is not a tree")
-    parent: dict[int, int] = {}
-    depth = {root: 0}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in model.adjacency[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
+    depth, parent = model._search(root)
     max_depth = max(depth.values())
     levels = tuple(
         tuple(sorted(v for v, k in depth.items() if k == d)) for d in range(max_depth + 1)
     )
     children: dict[int, tuple[int, ...]] = {
-        v: tuple(sorted(w for w in model.adjacency[v] if parent.get(w) == v)) for v in order
+        v: tuple(sorted(w for w in model.adjacency[v] if parent.get(w) == v)) for v in depth
     }
     peel = model.elimination_order[:-1]
     return TreeCombinatorics(

@@ -251,6 +251,10 @@ def _field_files(model_file, tmp_path):
     ("counterexample", "--k", "nan"),
     ("counterexample", "--k", "inf"),
     ("integral-residual", "--horizon", "1e-4"),
+    ("simulate", "--moments", "nan", "--horizon", "0.1"),
+    ("simulate", "--x0", "nan,0", "--horizon", "0.1"),
+    ("compare", "--x0", "nan", "--reps", "2", "--paths", "2", "--model", MODELS / "single_class.json"),
+    ("det-run", "--w0", "inf,1"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -268,7 +272,9 @@ def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key, value", [("lambda", [5.0, 5.0]), ("gamma", -1.0)])
+@pytest.mark.parametrize("key, value", [("lambda", [5.0, 5.0]), ("gamma", -1.0),
+                                        ("gamma", float("nan")), ("theta", [float("nan"), 0.0]),
+                                        ("r", [float("inf"), 1.0])])
 def test_invalid_model_exits_two_outside_validate(tmp_path, capsys, key, value):
     doc = json.loads((MODELS / "n_model.json").read_text())
     doc[key] = value
@@ -283,18 +289,23 @@ def test_invalid_model_exits_two_outside_validate(tmp_path, capsys, key, value):
 
 
 def test_invalid_cost_spec_exits_two_outside_validate(tmp_path, capsys):
-    doc = json.loads((MODELS / "n_model.json").read_text())
-    doc["cost"]["c"] = [-1.0, 1.0]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    for argv in (("evaluate-policy", "--paths", "2"),
-                 ("solve-hjb", "--points", "5", "--boundary", "extrapolate")):
-        assert run(*argv, "--model", path, "--out", tmp_path / argv[0]) == 2
-        assert "queue weights must be nonnegative" in capsys.readouterr().err
-    assert run("validate", "--model", path, "--out", tmp_path / "v") == 1
-    report = json.loads((tmp_path / "v" / "report.json").read_text())
-    assert not report["ok"]
-    assert report["violations"] == ["cost spec: queue weights must be nonnegative"]
+    finite = "weights, exponents and offset must be finite"
+    for key, value, violation in (("c", [-1.0, 1.0], "queue weights must be nonnegative"),
+                                  ("c", [float("nan"), 1.0], finite),
+                                  ("p", float("nan"), finite),
+                                  ("d", [float("inf"), 1.0], finite)):
+        doc = json.loads((MODELS / "n_model.json").read_text())
+        doc["cost"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("evaluate-policy", "--paths", "2"),
+                     ("solve-hjb", "--points", "5", "--boundary", "extrapolate")):
+            assert run(*argv, "--model", path, "--out", tmp_path / argv[0]) == 2
+            assert violation in capsys.readouterr().err
+        assert run("validate", "--model", path, "--out", tmp_path / "v") == 1
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert not report["ok"]
+        assert report["violations"] == [f"cost spec: {violation}"]
 
 
 def test_prelimit_and_compare(single_file, tmp_path):

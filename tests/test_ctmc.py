@@ -336,7 +336,7 @@ def test_assign_batch_matches_scalar_reference(case):
     """Every batched row equals the per-state rule it replaced, exactly: the
     greedy rule at every (queue class, idle station) and the tracking rule
     at integer, uniform and vertex weights.  Each rule object assigns every
-    batch in turn, so its lift table grows and is reused across batches.
+    batch in turn, so its one lift table is reused across batches.
     On tree3 only the tracking rule is compared: there the greedy rule holds
     its vertex where the bare greedy fill would not (see
     ``test_greedy_holds_its_vertex_on_tree3``)."""
@@ -358,6 +358,24 @@ def test_assign_batch_matches_scalar_reference(case):
         for r, x in enumerate(X):
             np.testing.assert_array_equal(got[r], _ref_tracking(model, caps, point, x))
             np.testing.assert_array_equal(rule.assign(x), got[r])
+
+
+def test_lift_table_is_bounded_and_never_mutated():
+    """The lift table is built with the rule and covers aggregates below
+    ``2 * caps.sum() + 1``: a headcount far past it takes the exact path,
+    leaves the table's bytes as they were, and matches the reference."""
+    model = n_model()
+    scaling = hw.ScalingSpec.centered(model, 400)
+    caps = scaling.server_counts(model)
+    point = hw.ControlPoint.uniform(model.classes, model.stations)
+    X = np.array([100000, 0])
+    for rule, ref in ((hw.GreedyPriority(model, scaling), _ref_greedy(model, caps, 0, 0, X)),
+                      (hw.ImbalanceTracking(model, scaling, point),
+                       _ref_tracking(model, caps, point, X))):
+        before = rule._table.tobytes()
+        np.testing.assert_array_equal(rule.assign(X), ref)
+        assert rule._table.tobytes() == before
+        assert rule._table.nbytes <= (2 * caps.sum() + 2) * model.classes * model.stations * 8
 
 
 def test_largest_remainder_batch_matches_rows():

@@ -231,7 +231,7 @@ def hjb_fields(key, runs, row):
 
 N = 400
 HORIZON = 1.0
-REPS = {1: 5, 5: 5, 1000: 1}  # replications -> timed repeats
+REPS = {1: 5, 5: 5, 1000: 3}  # replications -> timed repeats
 RULES = ("greedy_0_1", "track_uniform")
 
 
