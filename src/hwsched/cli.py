@@ -518,7 +518,8 @@ def _build_parser():
     return parser
 
 
-# exclusive lower bounds of the numeric options, wherever a command has them
+# exclusive lower bounds of the numeric options, wherever a command has them;
+# each must also be finite, so that no run length is endless
 LOWER_BOUNDS = {"dt": 0, "horizon": 0, "paths": 0, "reps": 0, "n": 0, "runs": 0, "samples": 0,
                 "boundary_paths": 0, "threads": 0, "points": 2}
 _POSITIVE_FINITE = (lambda v: 0 < v < float("inf"), "positive and finite")
@@ -528,7 +529,7 @@ _AT_LEAST_TWO = (lambda v: v >= 2, "at least 2")
 RANGES = {
     "solve-hjb": {"radius": _POSITIVE_FINITE, "tol": _POSITIVE_FINITE},
     "counterexample": {"k": (lambda v: 0 <= v < float("inf"), "nonnegative and finite")},
-    "compare": {"reps": _AT_LEAST_TWO, "paths": _AT_LEAST_TWO},
+    "compare": {"reps": _AT_LEAST_TWO, "paths": _AT_LEAST_TWO, "z_max": _POSITIVE_FINITE},
 }
 
 
@@ -536,12 +537,12 @@ def _check_numbers(args):
     """Reject numeric options out of range, whether from flags or a config."""
     for name, low in LOWER_BOUNDS.items():
         val = getattr(args, name, None)
-        if val is not None and not (isinstance(val, (int, float)) and val > low):
-            raise CliError(f"--{name.replace('_', '-')} must be above {low}, got {val!r}")
+        if val is not None and not (isinstance(val, (int, float)) and low < val < float("inf")):
+            raise CliError(f"--{name.replace('_', '-')} must be above {low} and finite, got {val!r}")
     for name, (ok, words) in RANGES.get(args.command, {}).items():
         val = getattr(args, name)
         if not (isinstance(val, (int, float)) and ok(val)):
-            raise CliError(f"--{name} must be {words}, got {val!r}")
+            raise CliError(f"--{name.replace('_', '-')} must be {words}, got {val!r}")
     if getattr(args, "moments", None) and (_floats(args.moments, name="--moments") < 0).any():
         raise CliError(f"--moments times must be nonnegative, got {args.moments!r}")
 

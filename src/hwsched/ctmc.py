@@ -12,9 +12,13 @@ headcount: the lift is linear, so ``Psi = X @ Lx + K[X.sum(1)]`` in exact
 integers, and only rows with a negative entry take the exact path of capped
 targets, lift and greedy fill.  The table is built once, when the rule is
 made, for every aggregate below ``2 * caps.sum() + 1``; an aggregate past it
-takes the exact path.  The event loop checks every assignment with
-one integer product and one minimum, naming the broken invariant only when
-that minimum is negative, and takes all event rates from one float product.
+takes the exact path.  The event loop folds a rule's table into its check
+map once per run, so each event's whole check vector (assignment, queues,
+idleness, non-activities) is one float product of the headcounts plus one
+table row; only rows whose assignment part is negative call the rule's
+``assign_batch``.  One minimum over the batch checks every invariant, the
+broken one is named only when that minimum is negative, and all event rates
+come from one more float product.
 """
 
 from __future__ import annotations
@@ -122,7 +126,9 @@ class _TargetRule:
     the exact path instead: the rule's capped ``_targets``, their lift, and the
     greedy fill where that lift is still negative.  An aggregate past the
     table reads a last row far below any real lift, so it takes the exact
-    path too; the rule is never mutated after construction.
+    path too; the rule is never mutated after construction.  ``table = (Lx,
+    K)``, with ``Lx`` the lift of the headcounts, is the map for the event
+    loop to fold into its check product.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, queue_class: int = 0,
@@ -145,6 +151,7 @@ class _TargetRule:
         # that adding X @ Lx to it cannot wrap around
         self._table = np.vstack([table, np.full(table.shape[1], np.iinfo(int).min // 2)])
         self._table.flags.writeable = False
+        self.table = (self._lift[:model.classes], self._table)
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
         """In-service counts ``Psi[R, I, J]`` for the headcounts ``X[R, I]``."""
@@ -304,18 +311,27 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
 
     Row r draws two uniforms per event from ``default_rng(seeds[r] + [31])``:
     the holding time is ``-log(u1) / total`` and the event is the first whose
-    cumulative rate exceeds ``u2 * total``.  After every event the rule
-    reassigns all servers and the assignment is checked in one integer
-    product: each row's ``[Psi | Y | Z | -Psi_off | 1]`` is ``[0 | X | caps |
-    0 | 1] + Psi_flat @ check``, and one minimum over the batch must not be
-    negative (on failure the first broken invariant is named).  The rates
-    ``[arrivals | completions | abandonments]`` are one float product of that
-    vector; each entry is one rate times one count plus exact zeros, so it is
-    the bare product.  A row leaves the batch once its next event falls past
-    ``horizon`` or its last sample is taken, so its path does not depend on
-    the other rows.  Returns the sample times (default: 11 over the horizon),
-    the integer samples ``(X, Y, Z)``, each row's event count and the
-    realized start.
+    cumulative rate exceeds ``u2 * total``.  After every event each row's
+    check vector ``[Psi | Y | Z | -Psi_off | 1]`` is one product and one
+    table row, ``X @ A + T[X.sum(1)]``: a rule's ``table = (Lx, K)`` gives
+    ``Psi_flat = X @ Lx + K[X.sum(1)]``, so ``A`` is ``Lx`` times the check
+    map plus the embedding of ``X``, and ``T`` is ``K`` times the check map
+    plus ``[0 | 0 | caps | 0 | 1]``.  Only rows whose ``Psi`` part is
+    negative (targets the table cannot serve) call ``rule.assign_batch``,
+    which takes the rule's exact path.  A rule without a table (say, a
+    user's) reads ``A`` as the embedding alone and one row of ``T`` whose
+    ``Psi`` part is negative, so every row calls ``assign_batch`` in the same
+    loop.  One minimum over the batch must not be negative (on failure the
+    first broken invariant is named).  The state, ``A``, ``T`` and the check
+    vectors are float64 holding small integers, so every sum is exact and
+    the aggregate ``X.sum(1)`` is kept as an integer beside them.  The rates
+    ``[arrivals | completions | abandonments]`` are one float product of the
+    check vector; each entry is one rate times one count plus exact zeros,
+    so it is the bare product.  A row leaves the batch once its next event
+    falls past ``horizon`` or its last sample is taken, so its path does not
+    depend on the other rows.  Returns the sample times (default: 11 over
+    the horizon), the integer samples ``(X, Y, Z)``, each row's event count
+    and the realized start.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 11)
@@ -329,17 +345,31 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
     # columns of the check vector: Psi, Y, Z, -Psi_off and the constant 1
     ys, zs = slice(IJ, IJ + I), slice(IJ + I, IJ + I + J)
     width = IJ + I + J + len(off) + 1
-    check = np.zeros((IJ, width), dtype=int)
-    check[:, :IJ] = np.eye(IJ, dtype=int)
-    check[:, ys] = -np.kron(np.eye(I, dtype=int), np.ones((J, 1), dtype=int))
-    check[:, zs] = -np.tile(np.eye(J, dtype=int), (I, 1))
+    check = np.zeros((IJ, width))
+    check[:, :IJ] = np.eye(IJ)
+    check[:, ys] = -np.kron(np.eye(I), np.ones((J, 1)))
+    check[:, zs] = -np.tile(np.eye(J), (I, 1))
     check[off, IJ + I + J + np.arange(len(off))] = -1
+    embed = np.zeros((I, width))  # X @ embed + const is [0 | X | caps | 0 | 1]
+    embed[:, ys] = np.eye(I)
+    const = np.zeros(width)
+    const[zs], const[-1] = caps, 1
+    table = getattr(rule, "table", None)
+    if table is None:
+        A, T = embed, const.copy()[None]
+        T[:, :IJ] = -1
+    else:
+        Lx, K = table
+        # the rule's last row of K, far below any real lift, stays far below
+        A, T = embed + Lx @ check, K @ check + const
     rate_map = np.zeros((width, I + E + I))
     rate_map[-1, :I] = scaling.arrival_rates(model)
     rate_map[ei * J + ej, I + np.arange(E)] = scaling.service_rates(model)[ei, ej]
     rate_map[ys, I + E:] = np.diag(model.theta)
     unit = np.eye(I, dtype=int)
     moves = np.concatenate([unit, -unit[ei], -unit])  # arrivals, completions, abandonments
+    agg_moves = moves.sum(axis=1)
+    moves = moves.astype(float)
     X0, realized = initial_headcounts(model, scaling, x_hat0)
     gens = [np.random.default_rng(key + [31]) for key in seeds]
     due_at = np.append(sample_times, np.inf)
@@ -347,19 +377,24 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
     rec = (np.empty((R, S, I), int), np.empty((R, S, I), int), np.empty((R, S, J), int))
     events = np.zeros(R, dtype=int)
     rows = np.arange(R)  # replication of each active row
-    base = np.zeros((R, width), dtype=int)  # [0 | X | caps | 0 | 1]; X is a view of it
-    base[:, ys], base[:, zs], base[:, -1] = X0, caps, 1
-    X = base[:, ys]
+    X = np.tile(X0.astype(float), (R, 1))
+    agg = np.full(R, X0.sum())
     t = np.zeros(R)
     si = np.zeros(R, dtype=int)
     limit = np.full(R, -np.inf)  # a row needs attention once its next event passes this
     step = 0
     with np.errstate(divide="ignore"):  # a row with no possible event waits forever
         while rows.size:
-            Psi = rule.assign_batch(X)
-            V = base + Psi.reshape(-1, IJ) @ check
+            V = X @ A
+            V += T.take(agg, axis=0, mode="clip")
             if np.minimum.reduce(V, axis=None) < 0:
-                raise _invalid_assignment(model, X, Psi)
+                Xi = X.astype(int)
+                bad = np.flatnonzero(np.minimum.reduce(V[:, :IJ], axis=1) < 0)
+                if bad.size:
+                    Psi = rule.assign_batch(Xi[bad]).reshape(len(bad), IJ)
+                    V[bad] = X[bad] @ embed + const + Psi @ check
+                if np.minimum.reduce(V, axis=None) < 0:
+                    raise _invalid_assignment(model, Xi, V[:, :IJ].reshape(-1, I, J))
             cum = np.add.accumulate(V @ rate_map, axis=1)
             total = cum[:, -1]
             k = step % _BLOCK_STEPS
@@ -385,14 +420,16 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
                         out[rows[d]] = np.where(tail, val[d, None], out[rows[d]])
                     events[rows[d]] = step
                     keep = ~done
-                    rows, base, cum, total, t_next, si, u = (rows[keep], base[keep], cum[keep],
-                                                             total[keep], t_next[keep], si[keep], u[keep])
-                    X = base[:, ys]
+                    rows, X, agg, cum, total, t_next, si, u = (
+                        rows[keep], X[keep], agg[keep], cum[keep], total[keep], t_next[keep],
+                        si[keep], u[keep])
                 limit = np.minimum(due_at[si], end)
             t = t_next
             # u2 < 1 keeps u2 * total below the last cumulative rate, so the
-            # pick is an event of positive rate
-            X += moves[np.add.reduce(cum <= (u[:, k, 1] * total)[:, None], axis=1)]
+            # first rate to exceed it is an event of positive rate
+            pick = (cum > (u[:, k, 1] * total)[:, None]).argmax(axis=1)
+            X += moves.take(pick, axis=0)
+            agg += agg_moves.take(pick)
             step += 1
     return sample_times, rec, events, realized
 

@@ -255,6 +255,11 @@ def _field_files(model_file, tmp_path):
     ("simulate", "--x0", "nan,0", "--horizon", "0.1"),
     ("compare", "--x0", "nan", "--reps", "2", "--paths", "2", "--model", MODELS / "single_class.json"),
     ("det-run", "--w0", "inf,1"),
+    ("prelimit", "--horizon", "inf", "--reps", "2"),
+    ("simulate", "--dt", "inf"),
+    ("simulate", "--config", {"horizon": float("inf")}),
+    ("compare", "--z-max", "nan", "--reps", "2", "--paths", "2"),
+    ("compare", "--z-max", "inf", "--reps", "2", "--paths", "2"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"

@@ -1,4 +1,5 @@
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,7 @@ def test_scaled_moments_approach_diffusion(rng):
 
 # -- batched rules against the per-state references ---------------------------
 
+SHIPPED = Path(__file__).resolve().parent.parent / "models"
 MODELS = {"n_model": n_model, "single_edge": single_edge_model, "tree3": lambda: tree3_model()[0]}
 
 
@@ -460,6 +462,75 @@ def test_broken_rule_names_its_invariant(kind, message):
     assert sum(broken) == 1
     with pytest.raises(ValueError, match=f"^{message}$"):
         hw.run_replications(model, scaling, rule, [0.0, 0.0], 1.0, 3, seed=4)
+
+
+class _ShiftedSplit(hw.GreedyPriority):
+    """Greedy targets with one queued (``"queue"``) or idle (``"idle"``)
+    customer fewer than the headcounts force, at class and station 0.  On
+    ``n_model`` at n = 16 from the fluid point the table lifts them to
+    nonnegative counts that break the headcount (capacity) identity."""
+
+    def __init__(self, model, scaling, kind):
+        self.kind = kind
+        super().__init__(model, scaling)
+
+    def _split(self, pos, neg):
+        Y, Z = super()._split(pos, neg)
+        (Y if self.kind == "queue" else Z)[:, 0] -= 1
+        return Y, Z
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("queue", "assignment rule violated the class headcount identity"),
+    ("idle", "assignment rule violated the station capacity identity"),
+])
+def test_table_rule_breaking_an_identity_names_it(kind, message):
+    """A table row with no negative count is not reassigned, and still
+    checked: the start's assignment alone is named, in a run that ends
+    before its first event."""
+    model = n_model()
+    scaling = hw.ScalingSpec.centered(model, 16)
+    rule = _ShiftedSplit(model, scaling, kind)
+    X = hw.initial_headcounts(model, scaling, [0.0, 0.0])[0]
+    Lx, K = rule.table
+    assert (X @ Lx + K[X.sum()]).min() >= 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hw.run_replications(model, scaling, rule, [0.0, 0.0], 1e-6, 3, seed=4)
+
+
+class _Forwarding:
+    """Forwards only ``assign_batch`` to a rule, so the event loop finds no
+    lift table and assigns every row through that call."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def assign_batch(self, X):
+        return self.rule.assign_batch(X)
+
+
+@pytest.mark.parametrize("name", ["n_model", "tree3", "single_class"])
+def test_rule_without_a_table_gives_the_same_paths(name):
+    """Through ``assign_batch`` alone a rule gives the samples and event
+    counts of its table route, byte for byte: from the fluid point, and from
+    a start whose aggregate lies past the table, so that rows take the exact
+    path."""
+    model = (hw.load_model(SHIPPED / "single_class.json")[0] if name == "single_class"
+             else MODELS[name]())
+    point = hw.ControlPoint.uniform(model.classes, model.stations)
+    seeds = [[7, r] for r in range(3)]
+    for n in (25, 400):
+        scaling = hw.ScalingSpec.centered(model, n)
+        far = np.full(model.classes, 3 * np.sqrt(n))
+        for rule in (hw.GreedyPriority(model, scaling, model.classes - 1, 0),
+                     hw.ImbalanceTracking(model, scaling, point)):
+            assert hw.initial_headcounts(model, scaling, far)[0].sum() >= len(rule.table[1]) - 1
+            for x0 in (np.zeros(model.classes), far):
+                _, rec, events, _ = ctmc._simulate(model, scaling, rule, x0, 0.5, seeds, None)
+                _, rec_f, events_f, _ = ctmc._simulate(model, scaling, _Forwarding(rule), x0, 0.5,
+                                                       seeds, None)
+                for got, want in zip((*rec_f, events_f), (*rec, events)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_replication_paths_do_not_depend_on_the_batch(monkeypatch):

@@ -29,9 +29,9 @@ next.  The cases:
 - ``prelimit``: events per second of ``run_replications`` on
   ``models/n_model.json`` at n = 400, horizon 1, under ``GreedyPriority(0,
   1)`` and ``ImbalanceTracking`` at the uniform point, for R = 1, 5 and 1000
-  replications.  Events are counted as assigned rows minus replications
-  (each replication is assigned once at its start and once after every
-  event), through a thin proxy around the rule.
+  replications.  Events are the sum of the per-replication event counts
+  that ``ctmc._simulate`` returns, read through a wrapper around it; the
+  rule itself goes to ``run_replications``, so the loop reads its table.
 - ``perfbench``: ``perfbench/run.py --trace 0`` on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, one pair per seed in
   ``SEEDS``, with every run's ``correct`` and ``failed``.  A run whose output
@@ -235,30 +235,27 @@ REPS = {1: 5, 5: 5, 1000: 3}  # replications -> timed repeats
 RULES = ("greedy_0_1", "track_uniform")
 
 
-class _Counting:
-    """Forwards ``assign_batch``, the one call ``run_replications`` makes, to
-    a rule and counts the rows."""
-
-    def __init__(self, rule):
-        self.rule, self.rows = rule, 0
-
-    def assign_batch(self, X):
-        self.rows += len(X)
-        return self.rule.assign_batch(X)
-
-
 def prelimit_worker(rule_name: str, reps: int) -> dict:
     import hwsched as hw
+    from hwsched import ctmc
 
     model, _ = hw.load_model(ROOT / "models" / "n_model.json")
     scaling = hw.ScalingSpec.centered(model, N)
     rule = (hw.GreedyPriority(model, scaling, 0, 1) if rule_name == "greedy_0_1" else
             hw.ImbalanceTracking(model, scaling, hw.ControlPoint.uniform(2, 2)))
-    counting = _Counting(rule)
+    simulate, events = ctmc._simulate, []
+
+    def counting(*args):
+        """``ctmc._simulate``, noting the events of all its replications."""
+        out = simulate(*args)
+        events.append(int(out[2].sum()))
+        return out
+
+    ctmc._simulate = counting
     t0 = time.perf_counter()
-    hw.run_replications(model, scaling, counting, [0.0, 0.0], HORIZON, reps, seed=SEED)
+    hw.run_replications(model, scaling, rule, [0.0, 0.0], HORIZON, reps, seed=SEED)
     wall = time.perf_counter() - t0
-    return {"wall_s": wall, "events": counting.rows - reps}
+    return {"wall_s": wall, "events": events[0]}
 
 
 def prelimit_fields(key, runs, row):
