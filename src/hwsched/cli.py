@@ -12,6 +12,7 @@ import dataclasses
 import datetime
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +422,10 @@ HANDLERS = {
 }
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it takes several milliseconds per call."""
     parser = argparse.ArgumentParser(prog="hwsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # each command's parser by name, for reading its options' types

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab, spsolve
 
 from . import sde
 from .flows import _columns, _drift_maps, drift_batch
@@ -346,6 +344,25 @@ def _extrapolation_rows(grid):
     return rows, cols, data
 
 
+# scipy.sparse and scipy.sparse.linalg are imported where they are used, like
+# pathops' scipy.signal, to keep `import hwsched` light; the two solvers stay
+# names of this module, where tests and the benchmark's tracer patch them
+
+
+def spsolve(A, rhs):
+    """Sparse LU solve of ``A x = rhs``: ``scipy.sparse.linalg.spsolve``."""
+    import scipy.sparse.linalg as spla
+
+    return spla.spsolve(A, rhs)
+
+
+def bicgstab(A, rhs, **kwargs):
+    """``scipy.sparse.linalg.bicgstab``."""
+    import scipy.sparse.linalg as spla
+
+    return spla.bicgstab(A, rhs, **kwargs)
+
+
 def _linear_solve(A, rhs, x0, dim):
     """Solve ``A x = rhs``; returns the solution and the solver's name.
 
@@ -355,6 +372,8 @@ def _linear_solve(A, rhs, x0, dim):
     """
     if dim < 3:
         return spsolve(A, rhs), "spsolve"
+    import scipy.sparse as sp
+
     x, info = bicgstab(A, rhs, x0=x0, rtol=1e-12, atol=0.0, M=sp.diags(1.0 / A.diagonal()))
     if info == 0:
         return x, "bicgstab"
@@ -422,6 +441,8 @@ def solve_hjb(
         raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
     if max_iter is None:
         max_iter = 100 if method == "policy" else 200_000
+
+    import scipy.sparse as sp  # see spsolve
 
     N = grid.size
     interior = grid.interior

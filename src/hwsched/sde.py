@@ -21,7 +21,9 @@ same loop, its rows of the step serving as the table.  Either way, below
 ``RunningCostSpec.evaluate`` on the same rows; from 8 classes on, numpy sums
 the coordinates in those two pairwise, and the results can differ from the
 loop's in the last bit.  Normal draws come in blocks of several steps, which
-a generator fills with the same values as one draw per step.
+a generator fills with the same values as one draw per step; each block is
+drawn into one preallocated buffer and scaled once into a class-major copy,
+so a step adds a contiguous slice to the class-major state.
 
 Reproducibility is counter-based: path chunks of a fixed layout draw from
 generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
@@ -217,7 +219,8 @@ def simulate_path(
 
 
 def _row_sum(A, out):
-    """Sum over the rows of ``A`` into ``out``, added in row order.
+    """Sum the rows of ``A`` (an array, or a sequence of row views) into
+    ``out``, added in row order.
 
     Below 8 rows this is the order in which ``drift_batch`` and ``evaluate``
     sum the coordinates of ``(B, I)`` states; from 8 on, numpy sums those
@@ -253,20 +256,28 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     and, for linear costs, its cost weight; otherwise the weight is scaled
     by ``|s|^p`` or ``|s|^q``, chosen by side.  Exactly one of ``s^+`` and
     ``s^-`` is nonzero, so each sum has the same floats as adding both
-    terms.  The imbalance is summed in class order (``_row_sum``), as numpy
-    sums fewer than 8 classes, so below 8 classes the drifts and costs are
-    the floats of ``drift_batch`` and ``RunningCostSpec.evaluate``; from 8
-    classes on they can differ in the last bit.  A policy with only
+    terms.  The imbalance is summed in class order (``_row_sum`` over views
+    of the state's rows, built once: the state changes only in place), as
+    numpy sums fewer than 8 classes, so below 8 classes the drifts and costs
+    are the floats of ``drift_batch`` and ``RunningCostSpec.evaluate``; from
+    8 classes on they can differ in the last bit.  A policy with only
     ``controls`` (or ``table = None``) has its rows of the step as the
     table, with row ``b`` for path ``b``.
 
-    Normals are drawn in blocks of ``K`` steps, ``(K, B, I)`` of at most
-    ``_BLOCK`` values, and scaled once per block.  A generator fills a block
-    with the values that ``K`` draws of ``(B, I)`` would give in turn, so
-    the paths, costs and ``record`` are the same bytes for any block size.
+    Normals are drawn in blocks of ``K`` steps into one preallocated
+    ``(K, B, I)`` buffer of at most ``_BLOCK`` values (``record`` stores
+    these raw draws), then scaled once per block into a preallocated
+    class-major ``(K, I, B)`` buffer, so a step adds one contiguous
+    ``(I, B)`` slice to the state.  A generator fills a block with the
+    values that ``K`` draws of ``(B, I)`` would give in turn, so the paths,
+    costs and ``record`` are the same bytes for any block size.  The side
+    of ``s`` is a bool array, and the gathered columns and the drift go
+    into buffers allocated once.
     """
     X = np.array(x0s, dtype=float).T.copy()
     I, B = X.shape
+    # views of X's class rows; X changes only in place, so they stay valid
+    X_rows = tuple(X)
     table = getattr(policy, "table", None)
     if table is not None:
         # C order: take would copy a Fortran-ordered table at every step
@@ -278,7 +289,7 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     # round it as drift_batch does (a copy differs for a single path)
     lin = _drift_maps(model)[1].T
     ell = model.ell[:, None] if model.ell.any() else None
-    noise_scale = model.r * np.sqrt(dt)
+    noise_scale = (model.r * np.sqrt(dt))[:, None]
     costs = np.zeros(B) if cost is not None else None
     linear = cost is None or (cost.p == 1.0 and cost.q == 1.0)
     snaps = np.empty((len(snap_idx), B, I))
@@ -292,17 +303,23 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     disc = 1.0
     decay = np.exp(-model.gamma * dt)
     s, a, norm = np.empty(B), np.empty(B), np.empty(B)
-    side = np.empty(B, dtype=np.intp)
+    # the gathered columns, with views of their drift and cost rows, and the
+    # drift; every step rewrites them
+    g, b = np.empty((I + 1, B)), np.empty((I, B))
+    g_drift, g_cost = g[:I], g[I]
+    side = np.empty(B, dtype=bool)
     # a path's column is row + R side; with one row it is its side
     col = side if R == 1 else np.empty(B, dtype=np.intp)
     K = max(1, _BLOCK // (B * I))
+    # raw draws in generator order, and the same draws scaled, class-major
+    raw, noise = np.empty((K, B, I)), np.empty((K, I, B))
     for start in range(0, n_steps, K):
-        raw = rng.standard_normal((min(K, n_steps - start), B, I))
-        # record keeps the raw draws
-        noise = raw * noise_scale if record is not None else np.multiply(raw, noise_scale, out=raw)
-        for k, xi in enumerate(noise, start):
+        m = min(K, n_steps - start)
+        rng.standard_normal(out=raw[:m])
+        np.multiply(raw[:m].transpose(0, 2, 1), noise_scale, out=noise[:m])
+        for k, xi in enumerate(noise[:m], start):
             t = k * dt
-            _row_sum(X, s)
+            _row_sum(X_rows, s)
             np.abs(s, out=a)
             np.less(s, 0.0, out=side)
             if table is None:
@@ -315,35 +332,35 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
             if R > 1:
                 np.multiply(side, R, out=col)
                 col += idx
-            g = W.take(col, axis=1)
+            # indices are in range; mode "raise" would buffer the output
+            W.take(col, axis=1, out=g, mode="clip")
             if linear:
                 g *= a
             else:
-                g[:I] *= a
+                g_drift *= a
                 pos_w = a if cost.p == 1.0 else a**cost.p
                 neg_w = a if cost.q == 1.0 else a**cost.q
-                g[I] *= np.where(side, neg_w, pos_w)
+                g_cost *= np.where(side, neg_w, pos_w)
             if cost is not None:
                 # evaluate adds constant + s^+ term + s^- term; one term is
                 # zero and x + constant is constant + x
-                step_cost = g[I]
                 if cost.constant:
-                    step_cost += cost.constant
+                    g_cost += cost.constant
                 if cost.kappa:
                     _row_sum(np.abs(X), norm)
-                    step_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
-                step_cost *= disc * dt
-                costs += step_cost
+                    g_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
+                g_cost *= disc * dt
+                costs += g_cost
                 disc *= decay
-            b = lin @ X
-            b += g[:I]
+            np.matmul(lin, X, out=b)
+            b += g_drift
             if ell is not None:
                 b += ell
             b *= dt
             X += b
             if record is not None:
                 record[0][k], record[1][k], record[2][k] = U, V, raw[k - start]
-            X += xi.T
+            X += xi
             while due[p] == k + 1:
                 snaps[order[p]] = X.T
                 p += 1

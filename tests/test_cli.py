@@ -348,6 +348,29 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert run("counterexample", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path, monkeypatch):
+    """``main`` reuses one parser per process; options given to one call,
+    or read from a config, never leak into the next call's options."""
+    seen = []
+    monkeypatch.setattr(cli, "HANDLERS", {name: lambda args, out: seen.append(vars(args)) or True
+                                          for name in cli.HANDLERS})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 7.0}))
+    calls = [["simulate", "--dt", "0.01", "--paths", "5", "--policy", "static:1,0"],
+             ["counterexample", "--config", cfg, "--horizon", "2"],
+             ["simulate"], ["counterexample"]]
+    for k, argv in enumerate(calls):
+        assert run(*argv, "--out", tmp_path / f"o{k}") == 0
+    assert cli._build_parser() is cli._build_parser()
+    for argv, got in zip(calls, seen):
+        argv = [str(a) for a in argv] + ["--out", str(got["out"])]
+        fresh = cli._build_parser.__wrapped__()
+        want = vars(cli._merge_config(fresh, fresh.parse_args(argv), argv))
+        assert got == want
+    assert seen[2]["dt"] == 1e-3 and seen[2]["paths"] == 1000 and seen[2]["policy"] == "uniform"
+    assert seen[1]["k"] == 7.0 and seen[3]["k"] == 1.0 and seen[3]["horizon"] == 5.0
+
+
 def reference_smooth_controls(model, n, dt, rng):
     """``cli._smooth_controls`` sampled one time point at a time."""
     I, J = model.classes, model.stations

@@ -342,6 +342,52 @@ def test_run_chunk_matches_reference_euler(model_name, kind, convex, rows, n_ste
         np.testing.assert_allclose(snaps[0], ref_x, rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["static", "switch", "grid"])
+@pytest.mark.parametrize("B", [500, 2048])
+@pytest.mark.parametrize("block", [None, 5000])
+def test_run_chunk_matches_reference_euler_at_large_batches(monkeypatch, kind, B, block):
+    """Byte for byte at batch sizes past the hypothesis test's, over several
+    normal blocks with a partial last one: by default 32 steps a block at
+    500 rows and 8 at 2048; with 5000 values a block, 5 and 1."""
+    model, cost = n_model(), nmodel_cost()
+    convex = hw.RunningCostSpec(c=cost.c, d=cost.d, p=2.0, q=1.5, kappa=0.4, m=1.5, constant=0.1)
+    if block is not None:
+        monkeypatch.setattr(sde, "_BLOCK", block)
+    K = max(1, sde._BLOCK // (2 * B))
+    n = 2 * K + 3 if K > 1 else 7
+    rng = np.random.default_rng(B)
+    policy = _policy(kind, model, rng)[0]
+    x0s = rng.uniform(-3.0, 3.0, (B, 2))
+    for c in (cost, convex):
+        costs, snaps = sde._run_chunk(model, x0s, policy, n, 1e-2, np.random.default_rng(9), c,
+                                      [n])
+        ref_costs, ref_x = reference_chunk(model, x0s, policy, n, 1e-2, np.random.default_rng(9),
+                                           c)
+        assert costs.tobytes() == ref_costs.tobytes()
+        assert snaps[0].tobytes() == ref_x.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["static", "grid"])
+def test_run_chunk_record_matches_the_default_run(kind):
+    """``record`` changes nothing in the run and holds every step's controls
+    at its left state and the raw draws of the documented stream."""
+    model, cost = n_model(), nmodel_cost()
+    B, n, dt = 500, 70, 1e-2  # 32 steps a block: two whole blocks and a partial one
+    rng = np.random.default_rng(1)
+    policy = _policy(kind, model, rng)[0]
+    x0s = rng.uniform(-3.0, 3.0, (B, 2))
+    rec = (np.empty((n, B, 2)), np.empty((n, B, 2)), np.empty((n, B, 2)))
+    got = sde._run_chunk(model, x0s, policy, n, dt, np.random.default_rng(2), cost,
+                         range(n + 1), rec)
+    want = sde._run_chunk(model, x0s, policy, n, dt, np.random.default_rng(2), cost,
+                          range(n + 1))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert rec[2].tobytes() == np.random.default_rng(2).standard_normal((n, B, 2)).tobytes()
+    for k in range(n):
+        U, V = policy.controls(got[1][k], k * dt)
+        assert rec[0][k].tobytes() == U.tobytes() and rec[1][k].tobytes() == V.tobytes()
+
+
 def test_table_controls_are_table_rows():
     model = n_model()
     for policy in (hw.StaticPriority.for_model(model, 1, 0),
@@ -365,10 +411,10 @@ def test_grid_markov_index_is_nearest_clipped_point():
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.signal and scipy.integrate are imported where they are used, so
-    # `import hwsched` stays quick
-    code = ("import sys, hwsched, hwsched.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.integrate'))))")
+    # scipy.signal, scipy.integrate and scipy.sparse are imported where they
+    # are used, so `import hwsched` stays quick
+    code = ("import sys, hwsched, hwsched.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.integrate', 'scipy.sparse'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -18,8 +18,9 @@ next.  The cases:
   benchmark workload (the policy extracted from a 61² solve, ±4.5σ,
   ``extrapolate`` boundary), after one short warm-up call.  Each worker also
   times the normal draws of the same run alone, once as one ``(B, 2)`` draw
-  per step and once in blocks of at most 2¹⁵ values.  A row says whether
-  the two sides' discounted costs are the same bytes.
+  per step and once as the loop draws them: blocks of at most 2¹⁵ values,
+  each drawn with ``out=`` into one reused buffer.  A row says whether the
+  two sides' discounted costs are the same bytes.
 - ``hjb``: seconds per ``solve_hjb`` with the ``extrapolate`` boundary and
   the default radius on ``models/n_model.json`` at 121² and 241² points and
   on ``perfbench/models/tree3.json`` at 21³, 31³ and 41³, with policy
@@ -171,9 +172,10 @@ def euler_worker(policy_name: str, paths: int, steps: int) -> dict:
         rng.standard_normal(shape)
     per_step = time.perf_counter() - t0
     k = max(1, BLOCK // (paths * model.classes))
+    raw = np.empty((k, *shape))
     t0 = time.perf_counter()
     for start in range(0, steps, k):
-        rng.standard_normal((min(k, steps - start), *shape))
+        rng.standard_normal(out=raw[:min(k, steps - start)])
     blocked = time.perf_counter() - t0
     return {"wall_s": wall, "costs_sha256": hashlib.sha256(costs.tobytes()).hexdigest(),
             "normals_per_step_us": per_step / steps * 1e6, "normals_blocked_us": blocked / steps * 1e6}
