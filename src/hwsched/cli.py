@@ -168,6 +168,14 @@ def _smooth_controls(model, n, dt, rng):
     return detsys.ControlPath(dt, weights(cu, fu), weights(cv, fv))
 
 
+def _steps(horizon, dt):
+    """The number of ``dt`` steps in ``horizon``, which must be at least one."""
+    n = round(horizon / dt)
+    if n < 1:
+        raise CliError(f"--horizon {horizon:g} spans no --dt {dt:g} step")
+    return n
+
+
 # -- command handlers (return True when the run's check passes) --------------
 
 
@@ -187,6 +195,7 @@ def cmd_validate(args, out):
 def cmd_simulate(args, out):
     model, _ = _load_model(args.model)
     x0 = _floats(args.x0, model.classes, "--x0") if args.x0 else np.zeros(model.classes)
+    _steps(args.horizon, args.dt)
     policy = _parse_policy(args.policy, model, args.horizon, args.seed)
     path = sde.simulate_path(model, x0, policy, args.horizon, args.dt, seed=args.seed)
     path.to_csv(out / "path.csv")
@@ -245,7 +254,9 @@ def cmd_evaluate_policy(args, out):
     model, cost = _load_model(args.model)
     cost = _require_cost(cost)
     x0 = _floats(args.x0, model.classes, "--x0") if args.x0 else np.zeros(model.classes)
-    policy = _parse_policy(args.policy, model, args.horizon or 12.0 / model.gamma, args.seed)
+    horizon = args.horizon or 12.0 / model.gamma
+    _steps(horizon, args.dt)
+    policy = _parse_policy(args.policy, model, horizon, args.seed)
     est = sde.mc_cost(model, cost, x0, policy, args.paths, horizon=args.horizon,
                       dt=args.dt, seed=args.seed, threads=args.threads)
     _write_json(out / "cost.json", {
@@ -258,20 +269,16 @@ def cmd_evaluate_policy(args, out):
 
 def cmd_det_run(args, out):
     model, _ = _load_model(args.model)
-    n = int(round(args.horizon / args.dt))
+    n = _steps(args.horizon, args.dt)
     w0 = _floats(args.w0, model.classes, "--w0") if args.w0 else np.ones(model.classes)
     slope = _floats(args.slope, model.classes, "--slope") if args.slope else np.ones(model.classes)
     t = args.dt * np.arange(n + 1)
     w = w0 + slope * t[:, None]
-    if args.policy in (None, "uniform"):
-        point = model_mod.ControlPoint.uniform(model.classes, model.stations)
-        controls = detsys.ControlPath.constant(point, n + 1, args.dt)
-    elif args.policy.startswith("static:"):
-        i, j = _static_edge(args.policy, model)
-        point = model_mod.ControlPoint.vertex(i, j, model.classes, model.stations)
-        controls = detsys.ControlPath.constant(point, n + 1, args.dt)
-    elif args.policy == "random":
+    if args.policy == "random":
         controls = _smooth_controls(model, n + 1, args.dt, np.random.default_rng(args.seed))
+    elif args.policy in (None, "uniform") or args.policy.startswith("static:"):
+        point = _parse_policy(args.policy, model, args.horizon, args.seed).point
+        controls = detsys.ControlPath.constant(point, n + 1, args.dt)
     else:
         raise CliError(f"det-run supports uniform, static:i,j or random controls, got {args.policy!r}")
     traj = detsys.integrate_det(model, w, controls)
@@ -287,7 +294,7 @@ def cmd_det_run(args, out):
 def cmd_nonidling_check(args, out):
     model, _ = _load_model(args.model)
     reasons = detsys.nonidling_hypothesis(model)
-    n = int(round(args.horizon / args.dt))
+    n = _steps(args.horizon, args.dt)
     t = args.dt * np.arange(n + 1)
     w = 1.0 + np.tile(t[:, None], (1, model.classes))
     rng = np.random.default_rng(args.seed)
@@ -323,9 +330,7 @@ def cmd_counterexample(args, out):
 
 def cmd_integral_residual(args, out):
     model, _ = _load_model(args.model)
-    n = int(round(args.horizon / args.dt))
-    if n < 1:
-        raise CliError(f"--horizon {args.horizon:g} spans no --dt {args.dt:g} step")
+    n = _steps(args.horizon, args.dt)
     seqs = pathops.build_sequences(model)
     seqs.save(out / "sequences.json")
     rng = np.random.default_rng(args.seed)
@@ -388,6 +393,7 @@ def cmd_prelimit(args, out):
 
 def cmd_compare(args, out):
     model, _ = _load_model(args.model)
+    _steps(args.horizon, args.dt)
     scaling, x0, times, samples = _prelimit_samples(args, model)
     x0_real = ctmc.initial_headcounts(model, scaling, x0)[1]
     spec = args.rule if args.rule.startswith("static:") else "uniform"
@@ -422,133 +428,132 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``CliError`` where argparse would print
+    its usage and exit, so that a bad flag is bad input like any other."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _ranged(kind, ok, words):
+    """An argparse ``type``: the text as ``kind``, accepted when ``ok`` holds
+    for it; ``words`` name the accepted values."""
+
+    def parse(text):
+        try:
+            val = kind(text)
+            good = ok(val)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
+        return val
+
+    return parse
+
+
+_INF = float("inf")
+# each must be finite, so that no run length is endless
+_POSITIVE_FLOAT = _ranged(float, lambda v: 0 < v < _INF, "a positive finite number")
+_NONNEGATIVE_FLOAT = _ranged(float, lambda v: 0 <= v < _INF, "a nonnegative finite number")
+_POSITIVE_INT = _ranged(int, lambda v: v >= 1, "a positive integer")
+# numpy rejects negative seeds
+_NONNEGATIVE_INT = _ranged(int, lambda v: v >= 0, "a nonnegative integer")
+# a sample variance needs two samples
+_SAMPLE_COUNT = _ranged(int, lambda v: v >= 2, "an integer of at least 2")
+_GRID_POINTS = _ranged(int, lambda v: v >= 3, "an integer of at least 3")
+# kept as text, so that the manifest records the times as given
+_TIMES = _ranged(str, lambda text: all(0 <= float(t) < _INF for t in text.split(",")),
+                 "comma-separated nonnegative finite times")
+
+
 @cache
 def _build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, and building it takes several milliseconds per call."""
-    parser = argparse.ArgumentParser(prog="hwsched", description=__doc__)
+    parser = _Parser(prog="hwsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # each command's parser by name, for reading its options' types
     parser.subcommands = sub.choices
 
-    def add(name, **kwargs):
+    def add(name, model=True, dt=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", help="JSON file of defaults for this command")
         p.add_argument("--out", help="output directory (default out-<command>)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
+        p.add_argument("--threads", type=_POSITIVE_INT, default=1)
+        if model:
+            p.add_argument("--model")
+        if dt:
+            p.add_argument("--dt", type=_POSITIVE_FLOAT, default=1e-3)
         return p
 
-    p = add("validate", help="check a model file's invariants")
-    p.add_argument("--model")
+    add("validate", help="check a model file's invariants")
 
-    p = add("simulate", help="simulate controlled diffusion paths")
-    p.add_argument("--model")
+    p = add("simulate", dt=True, help="simulate controlled diffusion paths")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--x0")
-    p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--moments", help="comma list of times for a moment-curve CSV")
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=10.0)
+    p.add_argument("--paths", type=_POSITIVE_INT, default=1000)
+    p.add_argument("--moments", type=_TIMES, help="comma list of times for a moment-curve CSV")
 
     p = add("solve-hjb", help="solve the dynamic-programming equation")
-    p.add_argument("--model")
-    p.add_argument("--points", type=int, default=121)
-    p.add_argument("--radius", type=float, default=6.0)
+    p.add_argument("--points", type=_GRID_POINTS, default=121)
+    p.add_argument("--radius", type=_POSITIVE_FLOAT, default=6.0)
     p.add_argument("--boundary", default="static-mc", choices=["static-mc", "extrapolate"])
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--boundary-paths", type=int, default=2000)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-8)
+    p.add_argument("--boundary-paths", type=_POSITIVE_INT, default=2000)
 
     p = add("extract-policy", help="extract the minimizing control field")
-    p.add_argument("--model")
     p.add_argument("--value")
 
-    p = add("evaluate-policy", help="Monte Carlo cost of a policy")
-    p.add_argument("--model")
+    p = add("evaluate-policy", dt=True, help="Monte Carlo cost of a policy")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--x0")
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--paths", type=_POSITIVE_INT, default=10000)
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT)
 
-    p = add("det-run", help="integrate the deterministic flow system")
-    p.add_argument("--model")
+    p = add("det-run", dt=True, help="integrate the deterministic flow system")
     p.add_argument("--w0")
     p.add_argument("--slope")
     p.add_argument("--policy", default="uniform")
-    p.add_argument("--horizon", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=2.0)
 
-    p = add("nonidling-check", help="verify no idleness under increasing drivers")
-    p.add_argument("--model")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--horizon", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p = add("nonidling-check", dt=True, help="verify no idleness under increasing drivers")
+    p.add_argument("--runs", type=_POSITIVE_INT, default=20)
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=2.0)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-8)
 
-    p = add("counterexample", help="closed-form unbounded flow off the tree class")
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p = add("counterexample", model=False, dt=True,
+            help="closed-form unbounded flow off the tree class")
+    p.add_argument("--k", type=_NONNEGATIVE_FLOAT, default=1.0)
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=5.0)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-8)
 
-    p = add("integral-residual", help="build operator sequences and check the identity")
-    p.add_argument("--model")
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float)
+    p = add("integral-residual", dt=True, help="build operator sequences and check the identity")
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=1.0)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT)
 
     p = add("prelimit", help="simulate the n-server system, scaled")
-    p.add_argument("--model")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--n", type=_POSITIVE_INT, default=100)
+    p.add_argument("--reps", type=_POSITIVE_INT, default=200)
     p.add_argument("--x0")
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=1.0)
     p.add_argument("--rule", default="static:0,0")
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_POSITIVE_INT, default=3)
 
-    p = add("compare", help="pre-limit versus diffusion discrepancy check")
-    p.add_argument("--model")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--paths", type=int, default=10000)
+    p = add("compare", dt=True, help="pre-limit versus diffusion discrepancy check")
+    p.add_argument("--n", type=_POSITIVE_INT, default=400)
+    p.add_argument("--reps", type=_SAMPLE_COUNT, default=2000)
+    p.add_argument("--paths", type=_SAMPLE_COUNT, default=10000)
     p.add_argument("--x0")
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=1.0)
     p.add_argument("--rule", default="static:0,0")
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--z-max", dest="z_max", type=float, default=3.0)
+    p.add_argument("--samples", type=_POSITIVE_INT, default=3)
+    p.add_argument("--z-max", dest="z_max", type=_POSITIVE_FLOAT, default=3.0)
 
     return parser
-
-
-# exclusive lower bounds of the numeric options, wherever a command has them;
-# each must also be finite, so that no run length is endless
-LOWER_BOUNDS = {"dt": 0, "horizon": 0, "paths": 0, "reps": 0, "n": 0, "runs": 0, "samples": 0,
-                "boundary_paths": 0, "threads": 0, "points": 2}
-_POSITIVE_FINITE = (lambda v: 0 < v < float("inf"), "positive and finite")
-# a sample variance needs two samples
-_AT_LEAST_TWO = (lambda v: v >= 2, "at least 2")
-# per command, options with a narrower range: (test, the range in words)
-RANGES = {
-    "solve-hjb": {"radius": _POSITIVE_FINITE, "tol": _POSITIVE_FINITE},
-    "counterexample": {"k": (lambda v: 0 <= v < float("inf"), "nonnegative and finite")},
-    "compare": {"reps": _AT_LEAST_TWO, "paths": _AT_LEAST_TWO, "z_max": _POSITIVE_FINITE},
-}
-
-
-def _check_numbers(args):
-    """Reject numeric options out of range, whether from flags or a config."""
-    for name, low in LOWER_BOUNDS.items():
-        val = getattr(args, name, None)
-        if val is not None and not (isinstance(val, (int, float)) and low < val < float("inf")):
-            raise CliError(f"--{name.replace('_', '-')} must be above {low} and finite, got {val!r}")
-    for name, (ok, words) in RANGES.get(args.command, {}).items():
-        val = getattr(args, name)
-        if not (isinstance(val, (int, float)) and ok(val)):
-            raise CliError(f"--{name.replace('_', '-')} must be {words}, got {val!r}")
-    if getattr(args, "moments", None) and (_floats(args.moments, name="--moments") < 0).any():
-        raise CliError(f"--moments times must be nonnegative, got {args.moments!r}")
 
 
 def _config_value(action, key, value):
@@ -559,8 +564,8 @@ def _config_value(action, key, value):
     text = str(value)
     try:
         value = action.type(text) if action.type else text
-    except ValueError as exc:
-        raise CliError(f"config key {key!r}: invalid {action.type.__name__} value {value!r}") from exc
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"config key {key!r}: {exc}") from exc
     if action.choices is not None and value not in action.choices:
         raise CliError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
     return value
@@ -594,10 +599,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     argv = [str(a) for a in argv]
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(parser, args, argv)
-        _check_numbers(args)
+        args = _merge_config(parser, parser.parse_args(argv), argv)
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
         params = {k: v for k, v in vars(args).items() if k not in ("command",)}
         _manifest(out, args.command, params)

@@ -244,9 +244,10 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     ``x0s`` is the ``(B, I)`` batch of initial states.  Returns the per-path
     running-cost integrals discounted at ``model.gamma`` (when ``cost`` is
     given, else ``None``) and the ``(len(snap_idx), B, I)`` states at the
-    requested step indices.  ``record``, when given, is a ``(u, v, xi)``
-    triple of arrays with ``n_steps`` rows into which each step writes its
-    controls and its raw standard normal draw.
+    requested step indices, each in ``[0, n_steps]`` (else ``ValueError``).
+    ``record``, when given, is a ``(u, v, xi)`` triple of arrays with
+    ``n_steps`` rows into which each step writes its controls and its raw
+    standard normal draw.
 
     The state is kept class-major, ``(I, B)``.  A tabulated policy's ``R``
     rows are turned once into one ``(I + 1, 2R)`` table of coefficient
@@ -295,7 +296,10 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     snaps = np.empty((len(snap_idx), B, I))
     # snapshot slots in step order, with a sentinel past the last step
     order = np.argsort(snap_idx, kind="stable")
-    due = [int(k) for k in np.asarray(snap_idx, dtype=int)[order]] + [n_steps + 1]
+    due = [int(k) for k in np.asarray(snap_idx, dtype=int)[order]]
+    if due and not 0 <= due[0] <= due[-1] <= n_steps:
+        raise ValueError(f"snapshot steps must lie in [0, {n_steps}]")
+    due.append(n_steps + 1)
     p = 0
     while due[p] == 0:
         snaps[order[p]] = X.T
@@ -381,8 +385,6 @@ def ensemble(model: TreeModel, x0s, policy, n_paths: int, n_steps: int, dt: floa
     snap_idx = [int(k) for k in snap_idx]
     if n_paths < 1 or dt <= 0 or n_steps < 0:
         raise ValueError("n_paths and dt must be positive and n_steps nonnegative")
-    if any(not 0 <= k <= n_steps for k in snap_idx):
-        raise ValueError(f"snapshot steps must lie in [0, {n_steps}]")
     x0s = np.asarray(x0s, dtype=float)
     size = max(1, CHUNK // len(x0s))
 

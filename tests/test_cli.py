@@ -7,7 +7,7 @@ import pytest
 import hwsched as hw
 from hwsched import cli
 from hwsched.cli import main
-from conftest import n_model, nmodel_cost, single_class_fixture, tree3_model
+from conftest import n_model, nmodel_cost, single_class_fixture, smooth_control_path, tree3_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -260,6 +260,15 @@ def _field_files(model_file, tmp_path):
     ("simulate", "--config", {"horizon": float("inf")}),
     ("compare", "--z-max", "nan", "--reps", "2", "--paths", "2"),
     ("compare", "--z-max", "inf", "--reps", "2", "--paths", "2"),
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--config", {"seed": -1}),
+    ("nonidling-check", "--tol", "nan"),
+    ("counterexample", "--tol", "-1"),
+    ("integral-residual", "--tol", "0"),
+    ("simulate", "--dt", "x"),
+    ("simulate", "--dt", "5", "--horizon", "1"),
+    ("evaluate-policy", "--dt", "5", "--horizon", "1", "--paths", "2"),
+    ("compare", "--dt", "5", "--reps", "2", "--paths", "2"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -342,6 +351,15 @@ def test_config_file_defaults(tmp_path):
     assert json.loads((out2 / "counterexample.json").read_text())["k"] == 2.0
 
 
+def test_every_numeric_option_has_a_range():
+    # a bare int or float type, or a numeric default with no type, would let
+    # any number through
+    for name, sub in cli._build_parser().subcommands.items():
+        for action in sub._actions:
+            assert action.type not in (int, float), (name, action.dest)
+            assert action.type or not isinstance(action.default, (int, float)), (name, action.dest)
+
+
 def test_unknown_config_key_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_option": 1}))
@@ -371,22 +389,6 @@ def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path, monkeypatch)
     assert seen[1]["k"] == 7.0 and seen[3]["k"] == 1.0 and seen[3]["horizon"] == 5.0
 
 
-def reference_smooth_controls(model, n, dt, rng):
-    """``cli._smooth_controls`` sampled one time point at a time."""
-    I, J = model.classes, model.stations
-    cu = rng.normal(0, 1, (I, 2))
-    fu = rng.uniform(0.5, 2.0, (I, 2))
-    cv = rng.normal(0, 1, (J, 2))
-    fv = rng.uniform(0.5, 2.0, (J, 2))
-
-    def fn(t):
-        eu = np.exp(cu[:, 0] * np.sin(fu[:, 0] * t) + cu[:, 1] * np.cos(fu[:, 1] * t))
-        ev = np.exp(cv[:, 0] * np.sin(fv[:, 0] * t) + cv[:, 1] * np.cos(fv[:, 1] * t))
-        return eu / eu.sum(), ev / ev.sum()
-
-    return hw.ControlPath.from_function(fn, n, dt)
-
-
 @pytest.mark.parametrize("model", [n_model(), single_class_fixture()[0], tree3_model()[0]],
                          ids=["n_model", "single_class", "tree3"])
 def test_smooth_controls_match_pointwise_sampling(model):
@@ -394,7 +396,7 @@ def test_smooth_controls_match_pointwise_sampling(model):
         for n, dt in ((1, 1e-3), (9, 0.25), (2001, 1e-3)):
             rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
             got = cli._smooth_controls(model, n, dt, rng_got)
-            want = reference_smooth_controls(model, n, dt, rng_want)
+            want = smooth_control_path(rng_want, model, n, dt)
             assert got.dt == want.dt
             assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
             # nonidling-check draws its runs' controls from one generator

@@ -147,6 +147,16 @@ def test_ensemble_rejects_bad_sizes(n_paths, dt, snap_idx):
                     snap_idx=snap_idx)
 
 
+@pytest.mark.parametrize("snap_idx", [(0, 7, 5), (-1,)])
+def test_run_chunk_rejects_snapshot_steps_out_of_range(snap_idx):
+    # a step past n_steps would leave its slot unwritten
+    model, _ = single_class_fixture()
+    policy = hw.StaticPriority.for_model(model, 0, 0)
+    with pytest.raises(ValueError, match="snapshot steps"):
+        sde._run_chunk(model, [[0.0]], policy, 5, 1e-2, np.random.default_rng(0),
+                       snap_idx=snap_idx)
+
+
 def test_mc_cost_batch_matches_single_runs():
     model, cost = single_class_fixture()
     policy = hw.StaticPriority.for_model(model, 0, 0)
