@@ -168,9 +168,18 @@ def _smooth_controls(model, n, dt, rng):
     return detsys.ControlPath(dt, weights(cu, fu), weights(cv, fv))
 
 
+# the most steps a run may take: a path of that many steps already fills
+# hundreds of megabytes
+MAX_STEPS = 10**7
+
+
 def _steps(horizon, dt):
-    """The number of ``dt`` steps in ``horizon``, which must be at least one."""
-    n = round(horizon / dt)
+    """The number of ``dt`` steps in ``horizon``, which must be at least one
+    and at most ``MAX_STEPS``."""
+    ratio = horizon / dt
+    if ratio > MAX_STEPS:
+        raise CliError(f"--horizon {horizon:g} spans more than {MAX_STEPS:g} --dt {dt:g} steps")
+    n = round(ratio)
     if n < 1:
         raise CliError(f"--horizon {horizon:g} spans no --dt {dt:g} step")
     return n
@@ -472,13 +481,14 @@ _TIMES = _ranged(str, lambda text: all(0 <= float(t) < _INF for t in text.split(
 def _build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, and building it takes several milliseconds per call."""
-    parser = _Parser(prog="hwsched", description=__doc__)
+    # no abbreviated flags: a config key names an option by its full flag
+    parser = _Parser(prog="hwsched", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     # each command's parser by name, for reading its options' types
     parser.subcommands = sub.choices
 
     def add(name, model=True, dt=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.add_argument("--config", help="JSON file of defaults for this command")
         p.add_argument("--out", help="output directory (default out-<command>)")
         p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
@@ -584,12 +594,13 @@ def _merge_config(parser, args, argv):
     if not isinstance(doc, dict):
         raise CliError("config must be a JSON object")
     actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
+    # flags given explicitly, as ``--flag value`` or ``--flag=value``, beat the config
+    given = {a.split("=", 1)[0] for a in argv}
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr not in actions or attr == "help":
             raise CliError(f"unknown config key {key!r}")
-        # command-line flags that were given explicitly beat the config
-        if f"--{key}" not in argv and f"--{attr}" not in argv:
+        if given.isdisjoint(actions[attr].option_strings):
             setattr(args, attr, _config_value(actions[attr], key, value))
     return args
 

@@ -171,7 +171,7 @@ def test_criterion_06_hjb_versus_monte_carlo(single_class_solution):
     policy = hw.StaticPriority.for_model(model, 0, 0)  # the only control
     x0s = np.array([[-1.0], [0.0], [1.0]])
     means, ses, _ = hw.mc_cost_batch(model, cost, x0s, policy,
-                                     n_paths=100_000, dt=2e-3, seed=SEED)
+                                     n_paths=100_000, dt=2e-3, seed=SEED, threads=2)
     h = 0.01
     ok = True
     rows = []

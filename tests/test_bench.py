@@ -80,6 +80,20 @@ def test_prelimit_row(bench):
     assert row["wins"] == {"wall_s": 2}
 
 
+def test_detsys_row(bench):
+    case = bench.cases()["detsys"]
+    key, repeats = case.workloads[0]
+    assert key == {"model": "n_model", "steps": 2000} and len(repeats) == 9
+    runs = {"parent": runs_of([0.04, 0.03, 0.05], values=[1.0, -2.0, 0.0]),
+            "change": runs_of([0.01, 0.012, 0.008], values=[1.0, -2.5, 0.0])}
+    row = bench.make_row(case, key, runs)
+    assert row["parent"]["us_per_step"] == pytest.approx(0.04 / 2000 * 1e6)
+    assert row["change"]["us_per_step"] == pytest.approx(0.01 / 2000 * 1e6)
+    assert row["speedup"] == pytest.approx(4.0)
+    assert row["wins"] == {"wall_s": 3}
+    assert row["traj_rel_gap"] == 0.25
+
+
 def test_perfbench_row(bench):
     case = bench.cases()["perfbench"]
     key, repeats = case.workloads[0]
@@ -96,7 +110,7 @@ def test_perfbench_row(bench):
     assert row["change"]["failed"] == [0, 0, 1, 0]
 
 
-@pytest.mark.parametrize("name", ["euler", "hjb", "prelimit", "perfbench"])
+@pytest.mark.parametrize("name", ["euler", "hjb", "prelimit", "detsys", "perfbench"])
 def test_sides_alternate_across_repeats(bench, name, capsys):
     calls = []
 
@@ -129,4 +143,4 @@ def test_sides_alternate_across_repeats(bench, name, capsys):
 def test_output_file_names_the_case(bench):
     assert bench.BENCH_FILE.format(sha="321cda7", case="hjb") == "BENCH_321cda7_hjb.json"
     names = {bench.BENCH_FILE.format(sha="321cda7", case=name) for name in bench.cases()}
-    assert len(names) == 4
+    assert len(names) == len(bench.cases())

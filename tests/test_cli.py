@@ -269,6 +269,8 @@ def _field_files(model_file, tmp_path):
     ("simulate", "--dt", "5", "--horizon", "1"),
     ("evaluate-policy", "--dt", "5", "--horizon", "1", "--paths", "2"),
     ("compare", "--dt", "5", "--reps", "2", "--paths", "2"),
+    ("det-run", "--horizon", "1e300", "--dt", "1e-300"),
+    ("det-run", "--horizon", "1e12"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -349,6 +351,26 @@ def test_config_file_defaults(tmp_path):
     out2 = tmp_path / "out2"
     assert run("counterexample", "--config", cfg, "--k", "2", "--out", out2) == 0
     assert json.loads((out2 / "counterexample.json").read_text())["k"] == 2.0
+
+
+def test_flag_with_equals_beats_the_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 2.0}))
+    out = tmp_path / "out"
+    assert run("counterexample", "--config", cfg, "--horizon=3", "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["horizon"] == 3.0
+    # a config key spelled with an underscore names the option of a dashed flag
+    cfg.write_text(json.dumps({"z_max": 2.0}))
+    parser = cli._build_parser()
+    argv = ["compare", "--config", str(cfg), "--z-max", "5"]
+    assert cli._merge_config(parser, parser.parse_args(argv), argv).z_max == 5.0
+
+
+def test_abbreviated_flag_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 2.0}))
+    assert run("counterexample", "--config", cfg, "--hor", "3", "--out", tmp_path / "o") == 2
+    assert "--hor" in capsys.readouterr().err
 
 
 def test_every_numeric_option_has_a_range():

@@ -198,3 +198,61 @@ def test_trajectory_csv_layout(tmp_path):
     assert header[0] == "t"
     assert len(lines) == n + 2
     assert len(header) == 1 + 2 + 2 + 2 + 2 + 4
+
+
+def reference_integrate_det(model, w, controls):
+    """The per-step loop: at each grid point the splits and flows from the lift
+    at the current state, then the state from the accumulated integrals."""
+    n = len(w) - 1
+    dt = controls.dt
+    G = hw.lift_matrix(model)
+    I, J = model.classes, model.stations
+
+    x = np.empty_like(w)
+    y = np.empty((n + 1, I))
+    z = np.empty((n + 1, J))
+    psi = np.empty((n + 1, I, J))
+    int_psi = np.zeros((I, J))
+    int_y = np.zeros(I)
+
+    x[0] = w[0]
+    for k in range(n + 1):
+        s = x[k].sum()
+        y[k] = max(s, 0.0) * controls.u[k]
+        z[k] = max(-s, 0.0) * controls.v[k]
+        totals = np.concatenate([x[k] - y[k], -z[k]])
+        psi[k] = G @ totals
+        if k < n:
+            int_psi += psi[k] * dt
+            int_y += y[k] * dt
+            x[k + 1] = w[k + 1] - (model.mu * int_psi).sum(axis=1) - model.theta * int_y
+    return hw.DetTrajectory(dt=dt, w=w, x=x, y=y, z=z, psi=psi)
+
+
+def assert_matches_reference(model, w, controls):
+    traj = hw.integrate_det(model, w, controls)
+    ref = reference_integrate_det(model, w, controls)
+    for name in ("x", "y", "z", "psi"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        scale = np.abs(want).max()
+        gap = np.abs(got - want).max()
+        assert gap <= 1e-12 * scale if scale else gap == 0.0, (name, gap, scale)
+    return ref
+
+
+def test_integrate_det_matches_per_step_loop(rng):
+    for _ in range(20):
+        model = random_tree_model(rng, max_nodes=9)
+        n = 300
+        dt = 2e-3
+        w = smooth_driver(rng, model.classes, n, dt, base=(0.1, 0.5), amp=0.4)
+        assert_matches_reference(model, w, smooth_control_path(rng, model, n + 1, dt))
+
+    model = n_model()
+    n = 2000
+    dt = 1e-3
+    t = dt * np.arange(n + 1)
+    w = np.column_stack([0.5 * np.cos(3.0 * t), 0.2 - 0.3 * t])
+    ref = assert_matches_reference(model, w, smooth_control_path(rng, model, n + 1, dt))
+    s = ref.x.sum(axis=1)
+    assert (s > 0).any() and (s < 0).any()

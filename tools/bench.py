@@ -33,6 +33,12 @@ next.  The cases:
   replications.  Events are the sum of the per-replication event counts
   that ``ctmc._simulate`` returns, read through a wrapper around it; the
   rule itself goes to ``run_replications``, so the loop reads its table.
+- ``detsys``: microseconds per step of ``detsys.integrate_det`` on
+  ``models/n_model.json`` at n = 2000 steps of dt 1e-3, under the driver of
+  ``nonidling-check`` (every class at ``1 + t``) and the controls of
+  ``cli._smooth_controls`` from seed 1, after one warm-up call, with the
+  sup-norm gap between the two sides' trajectories (x, y, z and psi)
+  relative to the parent's.
 - ``perfbench``: ``perfbench/run.py --trace 0`` on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, one pair per seed in
   ``SEEDS``, with every run's ``correct`` and ``failed``.  A run whose output
@@ -267,6 +273,36 @@ def prelimit_fields(key, runs, row):
     row["speedup"] = row["change"]["events_per_s"] / row["parent"]["events_per_s"]
 
 
+# -- detsys -------------------------------------------------------------------
+
+DET_STEPS = 2000
+DET_REPEATS = 9
+
+
+def detsys_worker(steps: int) -> dict:
+    import hwsched as hw
+    from hwsched import cli, detsys
+
+    model, _ = hw.load_model(ROOT / "models" / "n_model.json")
+    t = DT * np.arange(steps + 1)
+    w = 1.0 + np.tile(t[:, None], (1, model.classes))
+    controls = cli._smooth_controls(model, steps + 1, DT, np.random.default_rng(SEED))
+    detsys.integrate_det(model, w, controls)
+    t0 = time.perf_counter()
+    traj = detsys.integrate_det(model, w, controls)
+    wall = time.perf_counter() - t0
+    values = np.concatenate([a.ravel() for a in (traj.x, traj.y, traj.z, traj.psi)])
+    return {"wall_s": wall, "values": values.tolist()}
+
+
+def detsys_fields(key, runs, row):
+    for side in SIDES:
+        row[side]["us_per_step"] = row[side]["median"]["wall_s"] / key["steps"] * 1e6
+    parent_values, change_values = (np.array(runs[side][0]["values"]) for side in SIDES)
+    row["traj_rel_gap"] = float(np.abs(change_values - parent_values).max()
+                                / np.abs(parent_values).max())
+
+
 # -- perfbench ----------------------------------------------------------------
 
 SEEDS = tuple(range(1, 11))  # one pair of runs per seed
@@ -309,6 +345,11 @@ def cases() -> dict:
                          [({"rule": rule, "reps": reps}, [(rule, reps)] * repeats)
                           for reps, repeats in REPS.items() for rule in RULES],
                          prelimit_worker, prelimit_fields),
+        "detsys": Case({"benchmark": "microseconds per step of detsys.integrate_det",
+                        "model": "models/n_model.json", "dt": DT, "seed": SEED,
+                        "driver": "nonidling-check", "controls": "cli._smooth_controls"},
+                       [({"model": "n_model", "steps": DET_STEPS}, [(DET_STEPS,)] * DET_REPEATS)],
+                       detsys_worker, detsys_fields),
         "perfbench": Case({"benchmark": "perfbench/run.py --trace 0, end-to-end metrics",
                            "seeds": list(SEEDS)},
                           [({"workload": w["name"], "seconds": bench["run_seconds"]},
