@@ -229,7 +229,7 @@ def cmd_solve_hjb(args, out):
     try:
         sol = hjb.solve_hjb(
             model, cost, grid, boundary=args.boundary, tol=args.tol,
-            boundary_paths=args.boundary_paths, seed=args.seed,
+            boundary_paths=args.boundary_paths, seed=args.seed, threads=args.threads,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -487,12 +487,14 @@ def _build_parser():
     # each command's parser by name, for reading its options' types
     parser.subcommands = sub.choices
 
-    def add(name, model=True, dt=False, **kwargs):
+    def add(name, model=True, dt=False, threads=False, **kwargs):
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.add_argument("--config", help="JSON file of defaults for this command")
         p.add_argument("--out", help="output directory (default out-<command>)")
         p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
-        p.add_argument("--threads", type=_POSITIVE_INT, default=1)
+        # only the commands that run a Monte Carlo ensemble have workers to cap
+        if threads:
+            p.add_argument("--threads", type=_POSITIVE_INT, default=1)
         if model:
             p.add_argument("--model")
         if dt:
@@ -501,14 +503,14 @@ def _build_parser():
 
     add("validate", help="check a model file's invariants")
 
-    p = add("simulate", dt=True, help="simulate controlled diffusion paths")
+    p = add("simulate", dt=True, threads=True, help="simulate controlled diffusion paths")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--x0")
     p.add_argument("--horizon", type=_POSITIVE_FLOAT, default=10.0)
     p.add_argument("--paths", type=_POSITIVE_INT, default=1000)
     p.add_argument("--moments", type=_TIMES, help="comma list of times for a moment-curve CSV")
 
-    p = add("solve-hjb", help="solve the dynamic-programming equation")
+    p = add("solve-hjb", threads=True, help="solve the dynamic-programming equation")
     p.add_argument("--points", type=_GRID_POINTS, default=121)
     p.add_argument("--radius", type=_POSITIVE_FLOAT, default=6.0)
     p.add_argument("--boundary", default="static-mc", choices=["static-mc", "extrapolate"])
@@ -518,7 +520,7 @@ def _build_parser():
     p = add("extract-policy", help="extract the minimizing control field")
     p.add_argument("--value")
 
-    p = add("evaluate-policy", dt=True, help="Monte Carlo cost of a policy")
+    p = add("evaluate-policy", dt=True, threads=True, help="Monte Carlo cost of a policy")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--x0")
     p.add_argument("--paths", type=_POSITIVE_INT, default=10000)
@@ -553,7 +555,7 @@ def _build_parser():
     p.add_argument("--rule", default="static:0,0")
     p.add_argument("--samples", type=_POSITIVE_INT, default=3)
 
-    p = add("compare", dt=True, help="pre-limit versus diffusion discrepancy check")
+    p = add("compare", dt=True, threads=True, help="pre-limit versus diffusion discrepancy check")
     p.add_argument("--n", type=_POSITIVE_INT, default=400)
     p.add_argument("--reps", type=_SAMPLE_COUNT, default=2000)
     p.add_argument("--paths", type=_SAMPLE_COUNT, default=10000)

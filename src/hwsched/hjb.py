@@ -314,11 +314,11 @@ def _candidate_tables(model, cost, grid):
     return WP, WM, LV, model.gamma + WP.sum(axis=-1) + WM.sum(axis=-1)
 
 
-def _boundary_values_mc(model, cost, grid, n_paths, dt, seed, edge):
+def _boundary_values_mc(model, cost, grid, n_paths, dt, seed, edge, threads):
     policy = StaticPriority.for_model(model, *edge)
     pts = grid.points[grid.boundary]
     means, _, _ = sde.mc_cost_batch(
-        model, cost, pts, policy, n_paths=n_paths, dt=dt, seed=seed
+        model, cost, pts, policy, n_paths=n_paths, dt=dt, seed=seed, threads=threads
     )
     return means
 
@@ -391,6 +391,7 @@ def solve_hjb(
     boundary_paths: int = 2000,
     boundary_dt: float = 1e-3,
     seed: int = 0,
+    threads: int = 1,
 ) -> HJBSolution:
     """Solve the dynamic-programming equation on the grid.
 
@@ -401,6 +402,9 @@ def solve_hjb(
         point and imposes it as Dirichlet data; ``"extrapolate"`` closes the
         box with second-derivative-zero extrapolation and needs at least 4
         points per dimension.
+    threads:
+        Worker threads for the ``"static-mc"`` boundary ensemble; its values
+        are byte-identical for any count (``sde.ensemble``).
     method:
         ``"policy"`` alternates exact evaluation of the current control
         field (a sparse solve) with a monotone improvement sweep and is the
@@ -457,7 +461,7 @@ def solve_hjb(
     if boundary == "static-mc":
         edge = default_priority_edge(model)
         g[grid.boundary] = _boundary_values_mc(
-            model, cost, grid, boundary_paths, boundary_dt, seed, edge
+            model, cost, grid, boundary_paths, boundary_dt, seed, edge, threads
         )
         b_rows = b_cols = grid.boundary
         b_data = np.ones(len(grid.boundary))

@@ -94,6 +94,25 @@ def test_detsys_row(bench):
     assert row["traj_rel_gap"] == 0.25
 
 
+def test_cold_row(bench):
+    case = bench.cases()["cold"]
+    assert [key["command"] for key, _ in case.workloads] == list(bench.COLD_COMMANDS)
+    assert len(bench.COLD_COMMANDS) == 10 and bench.COLD_REPEATS >= 5
+    assert all(repeats == [(key["command"],)] * bench.COLD_REPEATS
+               for key, repeats in case.workloads)
+    runs = {"parent": [dict(r, peak_rss_mb=m, failed=0) for r, m in
+                       zip(runs_of([0.7, 0.6, 0.8]), (84.0, 83.0, 85.0))],
+            "change": [dict(r, peak_rss_mb=40.0, failed=int(k == 1)) for k, r in
+                       enumerate(runs_of([0.3, 0.25, 0.35]))]}
+    row = bench.make_row(case, {"command": "evaluate-policy"}, runs)
+    assert row["command"] == "evaluate-policy"
+    assert row["parent"]["median"] == {"wall_s": 0.7, "peak_rss_mb": 84.0}
+    assert row["change"]["median"] == {"wall_s": 0.3, "peak_rss_mb": 40.0}
+    assert row["speedup"] == pytest.approx(0.7 / 0.3)
+    assert row["wins"] == {"wall_s": 3, "peak_rss_mb": 3}
+    assert row["parent"]["failed"] == [0, 0, 0] and row["change"]["failed"] == [0, 1, 0]
+
+
 def test_perfbench_row(bench):
     case = bench.cases()["perfbench"]
     key, repeats = case.workloads[0]
@@ -110,7 +129,7 @@ def test_perfbench_row(bench):
     assert row["change"]["failed"] == [0, 0, 1, 0]
 
 
-@pytest.mark.parametrize("name", ["euler", "hjb", "prelimit", "detsys", "perfbench"])
+@pytest.mark.parametrize("name", ["euler", "hjb", "prelimit", "detsys", "perfbench", "cold"])
 def test_sides_alternate_across_repeats(bench, name, capsys):
     calls = []
 

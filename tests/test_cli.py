@@ -271,6 +271,20 @@ def _field_files(model_file, tmp_path):
     ("compare", "--dt", "5", "--reps", "2", "--paths", "2"),
     ("det-run", "--horizon", "1e300", "--dt", "1e-300"),
     ("det-run", "--horizon", "1e12"),
+    ("validate", "--threads", "2"),
+    ("extract-policy", "--threads", "2", "--value", "NM_VALUE"),
+    ("det-run", "--threads", "2"),
+    ("nonidling-check", "--threads", "2"),
+    ("counterexample", "--threads", "2"),
+    ("integral-residual", "--threads", "2"),
+    ("prelimit", "--threads", "2"),
+    ("validate", "--config", {"threads": 2}),
+    ("extract-policy", "--config", {"threads": 2}, "--value", "NM_VALUE"),
+    ("det-run", "--config", {"threads": 2}),
+    ("nonidling-check", "--config", {"threads": 2}),
+    ("counterexample", "--config", {"threads": 2}),
+    ("integral-residual", "--config", {"threads": 2}),
+    ("prelimit", "--config", {"threads": 2}),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"

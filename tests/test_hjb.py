@@ -252,6 +252,27 @@ def test_boundary_modes_agree_in_the_bulk():
     assert np.abs(a.value.values[center] - b.value.values[center]).max() < 5e-3
 
 
+def test_static_mc_boundary_is_byte_identical_across_threads(monkeypatch):
+    # 16 rows a chunk: one path per boundary point, so 3 chunks for 3 paths
+    monkeypatch.setattr(hw.sde, "CHUNK", 16)
+    ensemble, runs = hw.sde.ensemble, []
+
+    def spy(*args, **kwargs):
+        """``sde.ensemble``, noting its worker count and chunk count."""
+        parts = ensemble(*args, **kwargs)
+        runs.append((kwargs["threads"], len(parts)))
+        return parts
+
+    monkeypatch.setattr(hw.sde, "ensemble", spy)
+    model, cost = n_model(), nmodel_cost()
+    grid = hw.default_grid(model, 7)
+    values = [hw.solve_hjb(model, cost, grid, boundary="static-mc", boundary_paths=3,
+                           boundary_dt=1e-2, seed=5, threads=threads).value.values.tobytes()
+              for threads in (1, 2)]
+    assert runs == [(1, 3), (2, 3)]
+    assert values[0] == values[1]
+
+
 def test_monotone_in_running_cost():
     model = n_model()
     grid = hw.default_grid(model, points_per_dim=31, radius=4.0)

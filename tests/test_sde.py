@@ -91,6 +91,39 @@ def test_tail_bound_stays_moderate_at_short_horizons():
     assert 1.0 < tails[1] < tails[0] < 50.0
 
 
+@pytest.mark.parametrize("a", [-2.5, -1.0, -0.7, 0.0, 0.5, 1.0, 1.5, 3.3, 13.0, 50.0, 50.5, 80.0])
+def test_tail_bound_closed_form_matches_quadrature(a):
+    """Moments that follow ``2 (t / T)^a`` exactly give the discounted
+    integral of ``1 + e^c0 t^min(a, 50)``, with ``e^c0 = 2 T^-a``, to 1e-10
+    relative, across discounts and horizons; a = -1 is the E1 case."""
+    from scipy.integrate import quad
+
+    cost = nmodel_cost()
+    for gamma in (0.1, 0.5, 1.0, 3.0):
+        for T in (0.02, 0.1, 1.0, 6.0, 12.0, 120.0):
+            times = np.geomspace(T / 16.0, T, 6)
+            # e^-gamma t (1 + 2 (t / T)^-a t^min(a, 50)), by exponents: the
+            # product overflows at large t
+            log_scale = np.log(2.0) - a * np.log(T)
+            exact = quad(lambda t: np.exp(-gamma * t)
+                         + np.exp(log_scale + min(a, 50.0) * np.log(t) - gamma * t),
+                         T, np.inf, epsabs=0, epsrel=1e-12, limit=200)[0]
+            got = sde._tail_bound(cost, gamma, T, times, 2.0 * (times / T) ** a)
+            assert got == pytest.approx(cost.growth_scale * exact, rel=1e-10), (gamma, T)
+
+
+def test_tail_bound_without_a_finite_value_is_nan_or_inf():
+    cost = nmodel_cost()
+    times = np.geomspace(0.1, 1.0, 6)
+    for bad in (np.inf, np.nan):
+        for gamma, T in ((1.0, 1.0), (1e-3, 1.0), (1.0, 0.01)):
+            moments = np.append(times[:5], bad)
+            assert np.isnan(sde._tail_bound(cost, gamma, T, times, moments))
+    # e^c0 = 1e300 and a = 3 at gamma = 1e-3: e^c0 Γ(4, 1e-3) / gamma^4 is past 1e308
+    assert sde._tail_bound(cost, 1e-3, 1.0, times, 1e300 * times**3) == np.inf
+    assert np.isfinite(sde._tail_bound(cost, 1.0, 1.0, times, 1e300 * times**3))
+
+
 def test_mc_cost_reproducible_across_seeds():
     model, cost = single_class_fixture()
     policy = hw.StaticPriority.for_model(model, 0, 0)
@@ -428,6 +461,27 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_monte_carlo_runs_leave_scipy_integrate_special_optimize_unloaded(tmp_path):
+    # the cost tail bound is closed-form: a Monte Carlo cost, from the API or
+    # from the CLI, loads no scipy module that quadrature would
+    model_file = Path(__file__).resolve().parents[1] / "models" / "n_model.json"
+    code = (
+        "import sys, hwsched as hw\n"
+        "from hwsched import cli\n"
+        f"model, cost = hw.load_model({str(model_file)!r})\n"
+        "hw.mc_cost(model, cost, [0.0, 0.0], hw.StaticPriority.for_model(model, 0, 1), 8,\n"
+        "           horizon=0.5)\n"
+        f"assert cli.main(['evaluate-policy', '--model', {str(model_file)!r}, '--paths', '8',\n"
+        f"                 '--horizon', '0.5', '--out', {str(tmp_path / 'ev')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.integrate', 'scipy.special', 'scipy.optimize'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "ev" / "cost.json").exists()
 
 
 def _block_case(kind, B):

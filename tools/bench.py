@@ -39,6 +39,14 @@ next.  The cases:
   ``cli._smooth_controls`` from seed 1, after one warm-up call, with the
   sup-norm gap between the two sides' trajectories (x, y, z and psi)
   relative to the parent's.
+- ``cold``: each of the ten commands of the ``cli_session`` benchmark
+  workload (``CliSession.commands`` of the measured checkout's
+  ``perfbench/workloads.py``, with ``--seed 1``) in a fresh interpreter
+  started as the ``hwsched`` console script is, in a new temporary
+  directory: its wall time from spawn to exit and its ``ru_maxrss``, read
+  with ``os.wait4`` in a bare spawning interpreter.  Commands that read
+  another's output (``extract-policy`` reads ``solve-hjb``'s value field)
+  run after those commands, untimed, as the session chains them.
 - ``perfbench``: ``perfbench/run.py --trace 0`` on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, one pair per seed in
   ``SEEDS``, with every run's ``correct`` and ``failed``.  A run whose output
@@ -303,6 +311,60 @@ def detsys_fields(key, runs, row):
                                 / np.abs(parent_values).max())
 
 
+# -- cold ---------------------------------------------------------------------
+
+# the cli_session workload's commands, in its order; the worker checks them
+COLD_COMMANDS = ("validate", "solve-hjb", "extract-policy", "evaluate-policy", "simulate",
+                 "det-run", "nonidling-check", "integral-residual", "counterexample", "compare")
+COLD_REPEATS = 7
+# what the hwsched console script runs
+ENTRY_POINT = "import sys; from hwsched.cli import main; sys.exit(main())"
+# runs each argument list of argv[1] (JSON) with ENTRY_POINT in a fresh
+# interpreter and prints its wall seconds, peak resident MB and exit status.
+# A child's ru_maxrss is at least the peak of the process that spawned it,
+# so the spawner is this bare interpreter, far below any CLI call's peak
+LAUNCHER = f"""
+import json, os, subprocess, sys, time
+for argv in json.loads(sys.argv[1]):
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", {ENTRY_POINT!r}, *argv],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(json.dumps([wall, usage.ru_maxrss / 1024, proc.returncode]))
+"""
+
+
+def cold_worker(command: str) -> dict:
+    sys.path.insert(0, str(Path.cwd() / "perfbench"))
+    from workloads import CliSession
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        argvs = {argv[0]: argv + ["--seed", str(SEED), "--out", str(out / argv[0])]
+                 for argv in CliSession(Path.cwd(), SEED).commands(out)}
+        if tuple(argvs) != COLD_COMMANDS:
+            raise RuntimeError(f"cli_session runs {list(argvs)}, not {list(COLD_COMMANDS)}")
+
+        def chain(name):
+            """The commands whose outputs ``name`` reads, in order, then ``name``."""
+            reads = {Path(a).relative_to(out).parts[0] for a in argvs[name]
+                     if a.startswith(f"{out}{os.sep}")} - {name}
+            return [c for dep in sorted(reads, key=COLD_COMMANDS.index) for c in chain(dep)] + [name]
+
+        calls = json.dumps([argvs[name] for name in chain(command)])
+        lines = subprocess.run([sys.executable, "-c", LAUNCHER, calls], capture_output=True,
+                               text=True, check=True).stdout.splitlines()
+    wall, rss, code = json.loads(lines[-1])
+    return {"wall_s": wall, "peak_rss_mb": rss, "failed": int(code != 0)}
+
+
+def cold_fields(key, runs, row):
+    for side, rs in runs.items():
+        row[side]["failed"] = [r["failed"] for r in rs]
+
+
 # -- perfbench ----------------------------------------------------------------
 
 SEEDS = tuple(range(1, 11))  # one pair of runs per seed
@@ -350,6 +412,10 @@ def cases() -> dict:
                         "driver": "nonidling-check", "controls": "cli._smooth_controls"},
                        [({"model": "n_model", "steps": DET_STEPS}, [(DET_STEPS,)] * DET_REPEATS)],
                        detsys_worker, detsys_fields),
+        "cold": Case({"benchmark": "cli_session commands, each in a fresh interpreter",
+                      "entry_point": ENTRY_POINT, "seed": SEED},
+                     [({"command": name}, [(name,)] * COLD_REPEATS) for name in COLD_COMMANDS],
+                     cold_worker, cold_fields, ("wall_s", "peak_rss_mb")),
         "perfbench": Case({"benchmark": "perfbench/run.py --trace 0, end-to-end metrics",
                            "seeds": list(SEEDS)},
                           [({"workload": w["name"], "seconds": bench["run_seconds"]},
