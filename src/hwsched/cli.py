@@ -213,9 +213,9 @@ def cmd_simulate(args, out):
         times = _floats(args.moments, name="--moments")
         curve = sde.moment_curve(model, policy, x0, 2.0, times, args.paths,
                                  dt=args.dt, seed=args.seed, threads=args.threads)
-        np.savetxt(out / "moments.csv",
-                   np.column_stack([curve.times, curve.means, curve.stderrs]),
-                   delimiter=",", header="t,moment2,stderr", comments="", fmt="%.17g")
+        model_mod.write_csv(out / "moments.csv",
+                            np.column_stack([curve.times, curve.means, curve.stderrs]),
+                            "t,moment2,stderr")
         doc["moment_paths"] = args.paths
     _write_json(out / "summary.json", doc)
     print(f"terminal state: {path.x[-1]}")
@@ -325,8 +325,7 @@ def cmd_nonidling_check(args, out):
 def cmd_counterexample(args, out):
     rep = detsys.counterexample_flow(args.k, horizon=args.horizon, dt=args.dt)
     data = np.column_stack([rep.times, rep.x, rep.psi.reshape(len(rep.times), -1)])
-    np.savetxt(out / "counterexample.csv", data, delimiter=",",
-               header="t,x0,x1,psi0_0,psi0_1,psi1_0,psi1_1", comments="", fmt="%.17g")
+    model_mod.write_csv(out / "counterexample.csv", data, "t,x0,x1,psi0_0,psi0_1,psi1_0,psi1_1")
     ok = rep.max_residual <= args.tol
     _write_json(out / "counterexample.json", {
         "k": rep.k, "max_residual": rep.max_residual,
@@ -390,7 +389,7 @@ def cmd_prelimit(args, out):
         samples.reshape(R * S, I),
     ])
     header = "rep,t," + ",".join(f"xhat{i}" for i in range(I))
-    np.savetxt(out / "prelimit.csv", rows, delimiter=",", header=header, comments="", fmt="%.17g")
+    model_mod.write_csv(out / "prelimit.csv", rows, header)
     _write_json(out / "prelimit.json", {
         "n": scaling.n, "reps": R,
         "mean_terminal": samples[:, -1].mean(axis=0).tolist(),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import lift_batch, lift_matrix
-from .model import ControlPoint, TreeModel
+from .model import ControlPoint, TreeModel, write_csv
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class DetTrajectory:
         data = np.column_stack(
             [self.times, self.w, self.x, self.y, self.z, self.psi.reshape(len(self.x), -1)]
         )
-        np.savetxt(path, data, delimiter=",", header=",".join(cols), comments="", fmt="%.17g")
+        write_csv(path, data, ",".join(cols))
 
 
 def integrate_det(model: TreeModel, w: np.ndarray, controls: ControlPath) -> DetTrajectory:

@@ -14,10 +14,16 @@ pairs: with the imbalance ``s``, the drift and the cost read ``u`` only
 through ``s^+`` and ``v`` only through ``s^-``, so at any state one side is
 multiplied by an exact zero.  The rows ``(e_i, e_0)`` for every class and
 ``(e_0, e_j)`` for every station ``j >= 1`` therefore reach every value of
-the pairs, in floats, and the first minimal row is the lexicographically
-first minimal pair: the tie-break is the one of the full search.  Their
-drift and cost come from ``flows._columns``, the coefficient columns the
-Euler loop uses.
+the pairs, in floats, and their minimum is the one of the full search.
+Their drift and cost come from ``flows._columns``, the coefficient columns
+the Euler loop uses.
+
+The minimizing control is picked side by side: ``u`` is the first class
+that minimizes the queue-side coefficient (what multiplies ``s^+``) and
+``v`` the first station that minimizes the idle-side one (what multiplies
+``s^-``).  Neither choice depends on the sign of ``s``, so the side that an
+exact zero multiplies gets the control that would be optimal across the
+plane ``s = 0``, not a tie-break.
 
 The box truncates an unbounded problem, so boundary data is a modeling
 choice: either Dirichlet values simulated under a static-priority policy
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import sde
 from .flows import _columns, _drift_maps, drift_batch
-from .model import ControlPoint, RunningCostSpec, TreeModel, model_hash
+from .model import ControlPoint, RunningCostSpec, TreeModel, model_hash, write_csv
 from .sde import StaticPriority, default_priority_edge
 
 
@@ -158,10 +164,10 @@ class PolicyField:
 
 
 def _candidates(model: TreeModel, cost: RunningCostSpec, X: np.ndarray):
-    """The ``K = I + J - 1`` candidate vertex controls and their drift and cost.
+    """Drift and cost of the ``K = I + J - 1`` candidate vertex controls.
 
-    Returns ``(Ut, Vt, b, L)``: the table, rows ``(e_i, e_0)`` for every class
-    ``i`` then ``(e_0, e_j)`` for every station ``j >= 1``; the drift ``(K, N,
+    The rows are ``(e_i, e_0)`` for every class ``i``, then ``(e_0, e_j)``
+    for every station ``j >= 1``.  Returns ``(b, L)``: the drift ``(K, N,
     I)`` and the running cost ``(K, N)`` of each row at the states ``X``.  The
     floats are those of ``drift_batch`` and ``RunningCostSpec.evaluate`` on
     the same row tiled over ``X``.
@@ -185,7 +191,7 @@ def _candidates(model: TreeModel, cost: RunningCostSpec, X: np.ndarray):
     if cost.kappa:
         norm = np.abs(X).sum(axis=1)
         L += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
-    return Ut, Vt, b, L
+    return b, L
 
 
 def _project_simplex(T: np.ndarray) -> np.ndarray:
@@ -213,21 +219,42 @@ def _descend_simplex(lin, curve, exponent, start, iters=300):
     return T
 
 
+def _sided_controls(model: TreeModel, cost: RunningCostSpec, X: np.ndarray, P: np.ndarray):
+    """The vertex rows ``(U, V)`` that ``hamiltonian_field`` returns before
+    any descent: per side, the first vertex of least coefficient."""
+    I, J = model.classes, model.stations
+    Q, Z = _columns(model, cost, np.eye(I), np.eye(J))
+    rows = []
+    for C, e in ((Q, cost.p), (Z, cost.q)):
+        # one row per vertex, one column per state; products added in class order
+        coef = C[0][:, None] * P[:, 0]
+        for k in range(1, I):
+            coef += C[k][:, None] * P[:, k]
+        coef += C[I][:, None] if e == 1.0 else C[I][:, None] * np.abs(X.sum(axis=1)) ** (e - 1.0)
+        rows.append(np.eye(len(coef))[coef.argmin(axis=0)])
+    return tuple(rows)
+
+
 def hamiltonian_field(model: TreeModel, cost: RunningCostSpec, X: np.ndarray, P: np.ndarray):
     """Minimized drift-gradient-plus-cost over the control space, per row.
 
     Returns ``(H, U, V)`` for states ``X`` and gradients ``P`` of shape
-    ``(N, I)``.  Ties between vertices break to the smallest class index,
-    then the smallest station index: the first minimal candidate row (see
-    the module docstring) is the lexicographically first minimal pair.
+    ``(N, I)``.  ``H`` is the minimum over the candidate rows (see the module
+    docstring).  ``U`` is sided: at every state, the first class that
+    minimizes the queue-side coefficient, the drift column's product with
+    ``P`` plus the cost weight ``c_i |s|^(p-1)``, which is the side's vertex
+    objective at ``|s|`` divided by ``|s|``; ``V`` is the first station
+    that minimizes the idle-side coefficient, with ``d_j |s|^(q-1)``.  Where
+    ``s != 0`` the pair attains ``H`` up to rounding.  For costs that are not
+    affine in the control, projected descent from this pair may then replace
+    both rows.
     """
     X = np.asarray(X, dtype=float)
     P = np.asarray(P, dtype=float)
-    Ut, Vt, b, L = _candidates(model, cost, X)
+    b, L = _candidates(model, cost, X)
     vals = (b * P).sum(axis=-1) + L
-    best = vals.argmin(axis=0)
-    H = vals[best, np.arange(len(X))]
-    U, V = Ut[best], Vt[best]
+    H = vals[vals.argmin(axis=0), np.arange(len(X))]
+    U, V = _sided_controls(model, cost, X, P)
 
     if not cost.affine_in_control:
         s = X.sum(axis=1)
@@ -308,7 +335,7 @@ def _candidate_tables(model, cost, grid):
     candidate vertex control at the ``n`` interior points."""
     h = grid.spacing
     a = 0.5 * model.r**2
-    _, _, b, LV = _candidates(model, cost, grid.points[grid.interior])
+    b, LV = _candidates(model, cost, grid.points[grid.interior])
     WP = (a + h * np.maximum(b, 0.0)) / h**2
     WM = (a + h * np.maximum(-b, 0.0)) / h**2
     return WP, WM, LV, model.gamma + WP.sum(axis=-1) + WM.sum(axis=-1)
@@ -542,12 +569,17 @@ def extract_policy(field: ValueField, model: TreeModel, cost: RunningCostSpec) -
     """Minimizing control at every grid point of a solved value field.
 
     The gradient uses central differences in the interior and one-sided
-    differences on the box faces; the fixed vertex tie-break makes the
-    selection deterministic.
+    differences on the box faces.  The controls are those of
+    ``hamiltonian_field``: each side's vertex is chosen on its own, on both
+    sides of the plane ``s = 0``.  For a cost affine in the control they are
+    these sided vertex rows alone, so the minimized value is not evaluated.
     """
     grid = field.grid
     Df = np.stack(np.gradient(field.reshape(), *grid.spacing), axis=-1).reshape(grid.size, -1)
-    _, U, V = hamiltonian_field(model, cost, grid.points, Df)
+    if cost.affine_in_control:
+        U, V = _sided_controls(model, cost, grid.points, Df)
+    else:
+        _, U, V = hamiltonian_field(model, cost, grid.points, Df)
     return PolicyField(grid=grid, u=U, v=V)
 
 
@@ -629,7 +661,7 @@ def save_field(field, model: TreeModel, path) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        np.savetxt(fh, payload, delimiter=",", fmt="%.17g")
+        write_csv(fh, payload)
 
 
 def load_field(path):

@@ -14,9 +14,11 @@ side of ``s``, so the loop builds one table of those columns once
 (``flows._columns``, which the grid solver shares) and a step gathers one
 column per path, the idle-side one when ``s < 0``, and scales it by ``|s|``.
 Only one of ``s^+`` and ``s^-`` is nonzero, so this adds the same floats as
-the two-term formula.  A policy with ``table = None`` or with only
-``controls`` (a blending ``GridMarkov``, user policies) is simulated by the
-same loop, its rows of the step serving as the table.  Either way, below
+the two-term formula.  A table whose rows all have the bytes of its first
+(a fixed control, or a grid field that does not vary) is simulated as that
+one row, with no call to ``index``.  A policy with ``table = None`` or with
+only ``controls`` (a blending ``GridMarkov``, user policies) is simulated by
+the same loop, its rows of the step serving as the table.  Either way, below
 8 classes, the floats are those of ``drift_batch`` and
 ``RunningCostSpec.evaluate`` on the same rows; from 8 classes on, numpy sums
 the coordinates in those two pairwise, and the results can differ from the
@@ -41,7 +43,7 @@ import numpy as np
 
 # drift_batch stays importable here: it is the batch form of what _columns tabulates
 from .flows import _columns, _drift_maps, drift_batch  # noqa: F401
-from .model import ControlPoint, RunningCostSpec, TreeModel
+from .model import ControlPoint, RunningCostSpec, TreeModel, write_csv
 
 # state rows per simulation chunk; fixed so runs reproduce across workers
 CHUNK = 65536
@@ -193,7 +195,7 @@ class SimPath:
         pad_u = np.vstack([self.u, self.u[-1:]]) if n else np.zeros((1, I))
         pad_v = np.vstack([self.v, self.v[-1:]]) if n else np.zeros((1, J))
         data = np.column_stack([self.times, self.x, pad_u, pad_v, self.noise])
-        np.savetxt(path, data, delimiter=",", header=",".join(cols), comments="", fmt="%.17g")
+        write_csv(path, data, ",".join(cols))
 
 
 def simulate_path(
@@ -235,6 +237,12 @@ def _row_sum(A, out):
     return out
 
 
+def _same_rows(T):
+    """Whether every row of the table ``T`` has the bytes of its first."""
+    rows = np.ascontiguousarray(T).view(np.uint8).reshape(len(T), -1)
+    return bool((rows == rows[0]).all())
+
+
 # values per block of normal draws; a block is (K, B, I) with K = max(1, _BLOCK // (B I))
 _BLOCK = 2**15
 
@@ -258,11 +266,15 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     and, for linear costs, its cost weight; otherwise the weight is scaled
     by ``|s|^p`` or ``|s|^q``, chosen by side.  Exactly one of ``s^+`` and
     ``s^-`` is nonzero, so each sum has the same floats as adding both
-    terms.  The imbalance is summed in class order (``_row_sum`` over views
-    of the state's rows, built once: the state changes only in place), as
-    numpy sums fewer than 8 classes, so below 8 classes the drifts and costs
-    are the floats of ``drift_batch`` and ``RunningCostSpec.evaluate``; from
-    8 classes on they can differ in the last bit.  A policy with only
+    terms.  When every row of the table has the bytes of the first, the
+    table is that row alone, so ``R = 1`` and ``index`` is never called: the
+    gathered columns are the same floats, as they come from the same row,
+    and ``record`` gets that row at every step.  The imbalance is summed in
+    class order (``_row_sum`` over views of the state's rows, built once:
+    the state changes only in place), as numpy sums fewer than 8 classes,
+    so below 8 classes the drifts and costs are the floats of
+    ``drift_batch`` and ``RunningCostSpec.evaluate``; from 8 classes on
+    they can differ in the last bit.  A policy with only
     ``controls`` (or ``table = None``) has its rows of the step as the
     table, with row ``b`` for path ``b``.
 
@@ -282,6 +294,9 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     X_rows = tuple(X)
     table = getattr(policy, "table", None)
     if table is not None:
+        if all(_same_rows(T) for T in table):
+            table = tuple(T[:1] for T in table)
+            U, V = table[0][0], table[1][0]
         # C order: take would copy a Fortran-ordered table at every step
         W = np.ascontiguousarray(np.hstack(_columns(model, cost, *table)))
         R = W.shape[1] // 2
@@ -330,7 +345,7 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
             if table is None:
                 U, V = policy.controls(X.T, t)
                 W = np.hstack(_columns(model, cost, U, V))
-            else:
+            elif R > 1:
                 idx = policy.index(X.T, t)
                 if record is not None:
                     U, V = table[0][idx], table[1][idx]

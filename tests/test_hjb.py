@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,8 @@ from scipy.optimize import minimize
 import hwsched as hw
 from hwsched import hjb
 from conftest import n_model, nmodel_cost, random_tree_model, single_class_fixture, tree3_model
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def two_class_one_station(c=(1.0, 1.0), theta=(0.0, 0.0), mu=(1.0, 1.0)):
@@ -71,6 +75,8 @@ def test_hamiltonian_vertex_matches_dense_simplex_search(rng):
                 val = hw.drift(model, x, (u, v)) @ p + float(cost.evaluate(x, u, v))
                 best = min(best, val)
         assert H <= best + 1e-9
+        attained = hw.drift(model, x, point) @ p + float(cost.evaluate(x, point.u, point.v))
+        assert attained == pytest.approx(H, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -96,20 +102,34 @@ def test_candidate_rows_match_full_vertex_search(seed, rows):
     P[rng.random(rows) < 0.2] = 0.0
     H, U, V = hw.hamiltonian_field(model, cost, X, P)
 
-    # reference: every vertex pair in lexicographic order, flat argmin
-    vals = np.empty((I * J, rows))
-    for i in range(I):
-        for j in range(J):
-            Uv = np.zeros((rows, I))
-            Vv = np.zeros((rows, J))
-            Uv[:, i] = 1.0
-            Vv[:, j] = 1.0
-            vals[i * J + j] = (hw.drift_batch(model, X, Uv, Vv) * P).sum(axis=1)
-            vals[i * J + j] += cost.evaluate(X, Uv, Vv)
+    def pair_values(X):
+        """The objective of every vertex pair, in lexicographic order."""
+        vals = np.empty((I * J, len(X)))
+        for i in range(I):
+            for j in range(J):
+                Uv = np.zeros((len(X), I))
+                Vv = np.zeros((len(X), J))
+                Uv[:, i] = 1.0
+                Vv[:, j] = 1.0
+                vals[i * J + j] = (hw.drift_batch(model, X, Uv, Vv) * P).sum(axis=1)
+                vals[i * J + j] += cost.evaluate(X, Uv, Vv)
+        return vals
+
+    # H: the flat argmin over every vertex pair
+    vals = pair_values(X)
     best = vals.argmin(axis=0)
     assert H.tobytes() == vals[best, np.arange(rows)].tobytes()
-    assert U.tobytes() == np.eye(I)[best // J].tobytes()
-    assert V.tobytes() == np.eye(J)[best % J].tobytes()
+    # the sided controls: the same dense search at imbalance +1 (only u
+    # matters, so the first minimal pair has the first minimizing class) and
+    # at -1 (only v matters); the state part is the same for every pair
+    unit = np.zeros((rows, I))
+    unit[:, 0] = 1.0
+    assert U.tobytes() == np.eye(I)[pair_values(unit).argmin(axis=0) // J].tobytes()
+    assert V.tobytes() == np.eye(J)[pair_values(-unit).argmin(axis=0) % J].tobytes()
+    # and off the plane the sided pair attains H
+    attained = (hw.drift_batch(model, X, U, V) * P).sum(axis=1) + cost.evaluate(X, U, V)
+    off = X.sum(axis=1) != 0.0
+    np.testing.assert_allclose(attained[off], H[off], rtol=1e-12, atol=0.0)
 
 
 def test_hamiltonian_convex_cost_refinement(rng):
@@ -332,6 +352,23 @@ def test_policy_queues_the_cheap_class():
     policy = hw.extract_policy(sol.value, model, cost)
     pos = grid.points.sum(axis=1) > 0.5
     assert (policy.u[pos, 1] == 1.0).all()
+
+
+def test_nmodel_hjb_policy_is_one_row_and_simulates_as_static_priority():
+    # on n_model the HJB control is the static priority (1, 0) everywhere;
+    # the sided extraction gives that one row at every grid point, so the
+    # grid policy and the static one simulate the same bytes
+    model, cost = hw.load_model(MODELS / "n_model.json")
+    sol = hw.solve_hjb(model, cost, hw.default_grid(model, 61, 4.5), boundary="extrapolate")
+    field = hw.extract_policy(sol.value, model, cost)
+    rows = np.unique(np.column_stack([field.u, field.v]), axis=0)
+    assert rows.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+    starts = np.array([[0.0, 0.0], [1.5, -1.0], [-1.5, 1.0], [2.0, 2.0], [-2.0, -2.0]])
+    grid_run, static_run = (
+        hw.mc_cost_batch(model, cost, starts, policy, 100, dt=2e-3, seed=1)
+        for policy in (hw.GridMarkov(field), hw.StaticPriority.for_model(model, 1, 0))
+    )
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grid_run, static_run))
 
 
 def test_single_class_policy_constant():

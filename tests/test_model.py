@@ -232,3 +232,27 @@ def test_model_json_roundtrip(tmp_path):
 
 def test_model_hash_distinguishes():
     assert hw.model_hash(n_model()) != hw.model_hash(n_model(theta=(0.4, 0.5)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 4), (1, 1), (7,), (2500, 3)])
+def test_write_csv_matches_savetxt(tmp_path, shape):
+    # every special float, and several blocks of rows with a partial last one
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-310,
+                        1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e22, 123456789.0])
+    rng = np.random.default_rng(11)
+    data = rng.normal(0.0, 1e3, shape) * 10.0 ** rng.integers(-30, 30, shape)
+    flat = data.reshape(-1)
+    flat[:len(special)] = special[:len(flat)]
+    for header in ("", "a,b,c"):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        np.savetxt(want, data, delimiter=",", fmt="%.17g", header=header, comments="")
+        hw.model.write_csv(got, data, header)
+        assert got.read_bytes() == want.read_bytes()
+        # an open text file, after what is already written to it
+        with open(got, "w") as fh:
+            fh.write("{}\n")
+            hw.model.write_csv(fh, data, header)
+        with open(want, "w") as fh:
+            fh.write("{}\n")
+            np.savetxt(fh, data, delimiter=",", fmt="%.17g", header=header, comments="")
+        assert got.read_bytes() == want.read_bytes()

@@ -541,3 +541,69 @@ def test_run_chunk_idle_side_of_table_row_zero():
     ref_costs, ref_x = reference_chunk(model, x0s, policy, 20, 1e-2, np.random.default_rng(4), cost)
     assert costs.tobytes() == ref_costs.tobytes()
     assert snaps[0].tobytes() == ref_x.tobytes()
+
+
+def _run_spied(model, cost, policy, x0s, n, dt, seed):
+    """``_run_chunk`` with a record and snapshots at every step, spying on
+    ``policy.index``; returns the costs, the snapshots and the three record
+    arrays, and the count of index calls, after checking the run against
+    ``reference_chunk`` byte for byte."""
+    calls, index = [], policy.index
+
+    def spy(X, t):
+        calls.append(t)
+        return index(X, t)
+
+    policy.index = spy
+    B, I = x0s.shape
+    rec = (np.empty((n, B, I)), np.empty((n, B, model.stations)), np.empty((n, B, I)))
+    costs, snaps = sde._run_chunk(model, x0s, policy, n, dt, np.random.default_rng(seed), cost,
+                                  range(n + 1), rec)
+    n_calls = len(calls)
+    ref_costs, ref_x = reference_chunk(model, x0s, policy, n, dt, np.random.default_rng(seed),
+                                       cost)
+    assert costs.tobytes() == ref_costs.tobytes()
+    assert snaps[-1].tobytes() == ref_x.tobytes()
+    assert rec[2].tobytes() == np.random.default_rng(seed).standard_normal((n, B, I)).tobytes()
+    for k in range(n):
+        U, V = policy.controls(snaps[k], k * dt)
+        assert rec[0][k].tobytes() == U.tobytes() and rec[1][k].tobytes() == V.tobytes()
+    return (costs, snaps, *rec), n_calls
+
+
+def test_run_chunk_skips_index_for_one_row_tables():
+    """A table whose rows are all equal is simulated as its first row, with
+    no call to ``index``; one differing row, even at a grid point no path
+    reaches, keeps the lookup on every step."""
+    model, cost = n_model(), nmodel_cost()
+    grid = hw.Grid([-4.0, -4.0], [4.0, 4.0], [9, 9])
+    u = np.tile([0.0, 1.0], (grid.size, 1))
+    v = np.tile([1.0, 0.0], (grid.size, 1))
+    far_u, far_v = u.copy(), v.copy()
+    far_u[-1], far_v[-1] = [1.0, 0.0], [0.0, 1.0]
+    x0s = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 2))
+    n = 40
+    runs = {}
+    for name, policy in (
+        ("static", hw.StaticPriority.for_model(model, 1, 0)),
+        ("constant", hw.GridMarkov(hw.PolicyField(grid=grid, u=u, v=v))),
+        ("far", hw.GridMarkov(hw.PolicyField(grid=grid, u=far_u, v=far_v))),
+    ):
+        runs[name], calls = _run_spied(model, cost, policy, x0s, n, 1e-2, 6)
+        assert calls == (n if name == "far" else 0)
+    # the far point is never the nearest, so all three runs are the same
+    for name in ("constant", "far"):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[name], runs["static"]))
+
+
+def test_run_chunk_looks_up_a_state_dependent_hjb_policy():
+    # n_model with theta = (0, 3) and c = (1, 1.05): the queued class of the
+    # HJB policy depends on the state, so the loop keeps the grid lookup
+    model_file = Path(__file__).resolve().parents[1] / "models" / "n_model_abandon.json"
+    model, cost = hw.load_model(model_file)
+    sol = hw.solve_hjb(model, cost, hw.default_grid(model, 41, 4.5), boundary="extrapolate")
+    field = hw.extract_policy(sol.value, model, cost)
+    assert len(np.unique(field.u, axis=0)) > 1
+    x0s = np.random.default_rng(7).uniform(-3.0, 3.0, (200, 2))
+    _, calls = _run_spied(model, cost, hw.GridMarkov(field), x0s, 30, 1e-2, 8)
+    assert calls == 30

@@ -13,14 +13,24 @@ next.  The cases:
 
 - ``euler``: path-steps per second of ``sde._run_chunk`` on
   ``models/n_model.json`` with its linear cost and dt 1e-3, from starts drawn
-  uniformly on [-2, 2]², at B = 1, 200, 500 and 65536 paths, under
-  ``StaticPriority(0, 1)`` and under the ``GridMarkov`` of the ``mc_policy``
-  benchmark workload (the policy extracted from a 61² solve, ±4.5σ,
-  ``extrapolate`` boundary), after one short warm-up call.  Each worker also
-  times the normal draws of the same run alone, once as one ``(B, 2)`` draw
-  per step and once as the loop draws them: blocks of at most 2¹⁵ values,
-  each drawn with ``out=`` into one reused buffer.  A row says whether the
-  two sides' discounted costs are the same bytes.
+  uniformly on [-2, 2]², at B = 1, 200, 500 and 65536 paths, after one short
+  warm-up call, under three policies:
+
+  - ``static_0_1``: ``StaticPriority(0, 1)``;
+  - ``grid_markov_61``: the ``GridMarkov`` of the ``mc_policy`` benchmark
+    workload, the policy extracted from a 61² solve (±4.5σ, ``extrapolate``
+    boundary).  Its sided extraction makes it one row, the static priority
+    (1, 0), where an older extraction gave two rows and a grid lookup every
+    step; across that change its law differs, and its costs are not the same
+    bytes;
+  - ``grid_lookup_61``: a ``GridMarkov`` on the same 61² box whose rows are
+    vertex pairs drawn from a generator seeded ``SEED``, which keeps the
+    grid lookup of every step measured.
+
+  Each worker also times the normal draws of the same run alone, once as
+  one ``(B, 2)`` draw per step and once as the loop draws them: blocks of at
+  most 2¹⁵ values, each drawn with ``out=`` into one reused buffer.  A row
+  says whether the two sides' discounted costs are the same bytes.
 - ``hjb``: seconds per ``solve_hjb`` with the ``extrapolate`` boundary and
   the default radius on ``models/n_model.json`` at 121² and 241² points and
   on ``perfbench/models/tree3.json`` at 21³, 31³ and 41³, with policy
@@ -158,7 +168,7 @@ def run_case(name: str, trees: dict, measure=measure, warm_up=warm_up) -> list:
 DT = 1e-3
 # paths -> (Euler steps per measurement, timed repeats)
 SIZES = {1: (20000, 5), 200: (8000, 5), 500: (4000, 5), 65536: (60, 3)}
-POLICIES = ("static_0_1", "grid_markov_61")
+POLICIES = ("static_0_1", "grid_markov_61", "grid_lookup_61")
 # values per block of normal draws in the gathered-column loop (its _BLOCK)
 BLOCK = 2**15
 
@@ -167,11 +177,17 @@ def euler_worker(policy_name: str, paths: int, steps: int) -> dict:
     import hwsched as hw
 
     model, cost = hw.load_model(ROOT / "models" / "n_model.json")
+    grid = hw.default_grid(model, 61, 4.5)
     if policy_name == "static_0_1":
         policy = hw.StaticPriority.for_model(model, 0, 1)
-    else:
-        sol = hw.solve_hjb(model, cost, hw.default_grid(model, 61, 4.5), boundary="extrapolate")
+    elif policy_name == "grid_markov_61":
+        sol = hw.solve_hjb(model, cost, grid, boundary="extrapolate")
         policy = hw.GridMarkov(hw.extract_policy(sol.value, model, cost))
+    else:
+        rng = np.random.default_rng(SEED)
+        u = np.eye(model.classes)[rng.integers(0, model.classes, grid.size)]
+        v = np.eye(model.stations)[rng.integers(0, model.stations, grid.size)]
+        policy = hw.GridMarkov(hw.PolicyField(grid=grid, u=u, v=v))
     x0s = np.random.default_rng(SEED).uniform(-2.0, 2.0, (paths, model.classes))
     hw.sde._run_chunk(model, x0s, policy, 5, DT, np.random.default_rng(SEED), cost, [5])
     t0 = time.perf_counter()
