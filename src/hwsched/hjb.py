@@ -252,7 +252,11 @@ def hamiltonian_field(model: TreeModel, cost: RunningCostSpec, X: np.ndarray, P:
     X = np.asarray(X, dtype=float)
     P = np.asarray(P, dtype=float)
     b, L = _candidates(model, cost, X)
-    vals = (b * P).sum(axis=-1) + L
+    # products added in class order, as the reduction over the last axis adds them
+    vals = b[..., 0] * P[:, 0]
+    for k in range(1, X.shape[1]):
+        vals += b[..., k] * P[:, k]
+    vals += L
     H = vals[vals.argmin(axis=0), np.arange(len(X))]
     U, V = _sided_controls(model, cost, X, P)
 
@@ -301,9 +305,12 @@ class HJBIteration:
     would make to the value just solved, so both methods report the same
     quantity; ``policy_changes`` counts the interior points whose control the
     improvement step changed; ``solve_s`` is the seconds spent in the linear
-    solve, and ``solver`` names it: ``"spsolve"`` (sparse LU, 1-D and 2-D),
-    ``"bicgstab"`` (3-D) or ``"bicgstab->spsolve"`` (BiCGSTAB did not
-    converge and LU solved the system instead).
+    solve, and ``solver`` names it: ``"spsolve"`` (sparse LU with diagonal
+    pivots, 1-D and 2-D), ``"spsolve-pivoted"`` (that LU failed its
+    backward-error check and partial pivoting solved the system instead),
+    ``"bicgstab"`` (3-D), or ``"bicgstab->spsolve"`` and
+    ``"bicgstab->spsolve-pivoted"`` (BiCGSTAB did not converge and LU solved
+    the system instead).
     """
 
     sup_update: float
@@ -375,12 +382,39 @@ def _extrapolation_rows(grid):
 # pathops' scipy.signal, to keep `import hwsched` light; the two solvers stay
 # names of this module, where tests and the benchmark's tracer patch them
 
+# SuperLU keeps a diagonal pivot unless it is below this fraction of its
+# column's largest entry.  On the extrapolation boundary of small 3-D grids a
+# few diagonals cancel to rounding level (tree3 at 5^3 and 13^3, radius 6);
+# those few swap rows, and the ordering and the fill barely change.
+_DIAG_PIVOT = 1e-10
+
 
 def spsolve(A, rhs):
-    """Sparse LU solve of ``A x = rhs``: ``scipy.sparse.linalg.spsolve``."""
+    """Sparse LU solve of ``A x = rhs``; returns ``(x, name)``.
+
+    SuperLU factors in symmetric mode: MMD ordering on ``A + A^T`` and
+    diagonal pivots (see ``_DIAG_PIVOT``), which on the upwind matrices of
+    this module fills about half as many entries as partial pivoting with a
+    COLAMD ordering.  One step of iterative refinement follows, and ``x`` is
+    kept, named ``"spsolve"``, if its backward error ``||A x - rhs|| / (||A||
+    ||x|| + ||rhs||)`` in the inf-norm is at most 1e-14.  If it is not, or
+    the factorization fails, the answer is ``scipy.sparse.linalg.spsolve``
+    (partial pivoting, COLAMD), named ``"spsolve-pivoted"``; a singular
+    matrix ends there with its ``MatrixRankWarning``.
+    """
     import scipy.sparse.linalg as spla
 
-    return spla.spsolve(A, rhs)
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_DIAG_PIVOT,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular factor
+        return spla.spsolve(A, rhs), "spsolve-pivoted"
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - A @ x)
+    scale = spla.norm(A, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+    if np.abs(A @ x - rhs).max() <= 1e-14 * scale:
+        return x, "spsolve"
+    return spla.spsolve(A, rhs), "spsolve-pivoted"
 
 
 def bicgstab(A, rhs, **kwargs):
@@ -393,18 +427,25 @@ def bicgstab(A, rhs, **kwargs):
 def _linear_solve(A, rhs, x0, dim):
     """Solve ``A x = rhs``; returns the solution and the solver's name.
 
-    Sparse LU in 1-D and 2-D, where it is the faster one.  In 3-D the LU
-    fill-in dominates, so BiCGSTAB with a Jacobi preconditioner starts from
-    ``x0``, and LU takes over if it does not converge.
+    ``spsolve`` in 1-D and 2-D, where it is the faster one, named as it
+    names itself.  In 3-D the LU fill-in dominates, so BiCGSTAB starts from
+    ``x0`` on the Jacobi-scaled system ``(A D^-1) y = rhs``, ``D = diag(A)``,
+    and returns ``x = D^-1 y``: the right preconditioning is a column
+    scaling, and the iterates are those of a Jacobi preconditioner ``M =
+    D^-1``, whose stopping test is on the true residual, ``||rhs - A x|| <=
+    1e-12 ||rhs||``.  If it does not converge, ``spsolve`` takes over and
+    the name is ``"bicgstab->"`` and its own.
     """
     if dim < 3:
-        return spsolve(A, rhs), "spsolve"
+        return spsolve(A, rhs)
     import scipy.sparse as sp
 
-    x, info = bicgstab(A, rhs, x0=x0, rtol=1e-12, atol=0.0, M=sp.diags(1.0 / A.diagonal()))
+    d = A.diagonal()
+    y, info = bicgstab(A @ sp.diags(1.0 / d), rhs, x0=x0 * d, rtol=1e-12, atol=0.0)
     if info == 0:
-        return x, "bicgstab"
-    return spsolve(A, rhs), "bicgstab->spsolve"
+        return y / d, "bicgstab"
+    x, name = spsolve(A, rhs)
+    return x, "bicgstab->" + name
 
 
 def solve_hjb(
@@ -451,11 +492,13 @@ def solve_hjb(
         rounding, and a plain ``argmin`` would cycle among them forever.
         ``report.history`` records every policy-iteration step.
 
-    The policy evaluation solves with sparse LU in 1-D and 2-D.  In 3-D it
-    runs Jacobi-preconditioned BiCGSTAB (relative tolerance 1e-12) from the
-    current value and falls back to LU when that does not converge; each
-    step's ``solver`` says which ran.  Dimension is capped at 3: beyond that
-    the grid is not tractable here.
+    The policy evaluation solves with sparse LU in 1-D and 2-D
+    (``spsolve``: diagonal pivots and one refinement step, partial pivoting
+    if the result fails a backward-error check).  In 3-D it runs
+    right-Jacobi-preconditioned BiCGSTAB (true residual at most 1e-12 of the
+    right-hand side) from the current value and falls back to LU when that
+    does not converge; each step's ``solver`` says which ran.  Dimension is
+    capped at 3: beyond that the grid is not tractable here.
     """
     if model.classes > 3:
         raise ValueError("grid solves are limited to 3 classes or fewer")

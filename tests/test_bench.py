@@ -51,13 +51,17 @@ def test_euler_row(bench):
 def test_hjb_row(bench):
     case = bench.cases()["hjb"]
     fields = {"iterations": 2, "converged": True, "solvers": ["spsolve", "spsolve"]}
-    runs = {"parent": [dict(r, peak_rss_mb=m, values=[1.0, 2.0, -4.0]) for r, m in
-                       zip(runs_of([1.0, 3.0, 2.0], **fields), (80.0, 90.0, 85.0))],
-            "change": [dict(r, peak_rss_mb=70.0, values=[1.0, 2.5, -4.0])
-                       for r in runs_of([0.5, 1.0, 1.5], **fields)]}
+    runs = {"parent": [dict(r, peak_rss_mb=m, solve_s=s, values=[1.0, 2.0, -4.0]) for r, m, s in
+                       zip(runs_of([1.0, 3.0, 2.0], **fields), (80.0, 90.0, 85.0),
+                           (0.5, 2.0, 1.0))],
+            "change": [dict(r, peak_rss_mb=70.0, solve_s=s, values=[1.0, 2.5, -4.0])
+                       for r, s in zip(runs_of([0.5, 1.0, 1.5], **fields), (0.25, 0.5, 1.5))]}
     row = bench.make_row(case, {"model": "n_model", "points": 121}, runs)
     assert row["parent"]["median_s"] == 2.0 and row["change"]["median_s"] == 1.0
-    assert row["parent"]["quartiles"] == {"wall_s": [1.5, 2.5]}
+    assert row["parent"]["quartiles"] == {"wall_s": [1.5, 2.5], "solve_s": [0.75, 1.5]}
+    assert row["parent"]["solve_s"] == [0.5, 2.0, 1.0]
+    assert row["change"]["median"] == {"wall_s": 1.0, "solve_s": 0.5}
+    assert row["wins"] == {"wall_s": 3, "solve_s": 2}
     assert row["speedup"] == pytest.approx(2.0)
     assert row["parent"]["peak_rss_mb"] == 90.0
     assert row["change"]["solvers"] == ["spsolve", "spsolve"]
@@ -135,7 +139,7 @@ def test_sides_alternate_across_repeats(bench, name, capsys):
 
     def fake_measure(case, tree, args):
         calls.append((tree, tuple(args)))
-        return {"wall_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0, "correct": True,
+        return {"wall_s": 1.0, "solve_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0, "correct": True,
                 "failed": 0, "costs_sha256": "a", "normals_per_step_us": 1.0,
                 "normals_blocked_us": 1.0, "iterations": 1, "converged": True,
                 "solvers": ["spsolve"], "values": [1.0], "events": 1}

@@ -1,8 +1,11 @@
+import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
@@ -11,6 +14,11 @@ from hwsched import hjb
 from conftest import n_model, nmodel_cost, random_tree_model, single_class_fixture, tree3_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+def shipped_model(name):
+    """A model of ``models/`` by file stem, or the 3-class tree."""
+    return tree3_model() if name == "tree3" else hw.load_model(MODELS / f"{name}.json")
 
 
 def two_class_one_station(c=(1.0, 1.0), theta=(0.0, 0.0), mu=(1.0, 1.0)):
@@ -47,6 +55,18 @@ def test_hamiltonian_gradient_free_tie_break():
     assert H == pytest.approx(2.0)
     assert point.u.tolist() == [1.0, 0.0]
     assert point.v.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("name", ["n_model", "n_model_abandon", "single_class", "tree3"])
+def test_hamiltonian_adds_products_in_class_order(name):
+    # H is the same bytes as the product-then-reduce form of the objective
+    model, cost = shipped_model(name)
+    X = hw.default_grid(model, 9 if model.classes == 3 else 41).points
+    rng = np.random.default_rng(7)
+    for P in (rng.normal(0.0, 3.0, X.shape), np.zeros(X.shape)):
+        H, _, _ = hw.hamiltonian_field(model, cost, X, P)
+        b, L = hjb._candidates(model, cost, X)
+        assert H.tobytes() == ((b * P).sum(axis=-1) + L).min(axis=0).tobytes()
 
 
 def test_hamiltonian_single_class_closed_form():
@@ -253,6 +273,90 @@ def test_three_d_solver_falls_back_to_lu(monkeypatch):
     assert {step.solver for step in lu.report.history} == {"bicgstab->spsolve"}
     gap = np.abs(lu.value.values - krylov.value.values).max()
     assert gap <= 1e-9 * np.abs(lu.value.values).max()
+
+
+class _Captured(Exception):
+    pass
+
+
+def evaluation_system(model, cost, points, radius, boundary="extrapolate"):
+    """``(A, rhs)`` of the first policy evaluation of a solve on the default
+    grid.  The static-mc boundary data is a smooth stand-in for the simulated
+    values, which only the right-hand side reads."""
+
+    def capture(A, rhs, x0, dim):
+        raise _Captured(A, rhs)
+
+    def boundary_values(model, cost, grid, *args):
+        return 1.0 + np.abs(grid.points[grid.boundary]).sum(axis=1)
+
+    grid = hw.default_grid(model, points, radius)
+    with patch.object(hjb, "_linear_solve", capture), \
+            patch.object(hjb, "_boundary_values_mc", boundary_values):
+        try:
+            hw.solve_hjb(model, cost, grid, boundary=boundary)
+        except _Captured as caught:
+            return caught.args
+    raise AssertionError("the solve ran no policy evaluation")
+
+
+def backward_error(A, x, rhs):
+    return np.abs(A @ x - rhs).max() / (spla.norm(A, np.inf) * np.abs(x).max() + np.abs(rhs).max())
+
+
+def test_spsolve_takes_the_pivot_free_route_on_n_model():
+    A, rhs = evaluation_system(n_model(), nmodel_cost(), 81, 6.0)
+    x, name = hjb.spsolve(A, rhs)
+    want = spla.spsolve(A, rhs)
+    assert name == "spsolve"
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_spsolve_falls_back_to_pivoting_on_a_small_tree(monkeypatch):
+    # one diagonal of this system cancels to rounding level during the
+    # factorization; the threshold swaps it, and pure diagonal pivots leave a
+    # backward error of 1e-2 after refinement, which the check catches
+    A, rhs = evaluation_system(*tree3_model(), 5, 4.5)
+    x, name = hjb.spsolve(A, rhs)
+    assert name == "spsolve" and backward_error(A, x, rhs) <= 1e-14
+    monkeypatch.setattr(hjb, "_DIAG_PIVOT", 0.0)
+    x, name = hjb.spsolve(A, rhs)
+    assert name == "spsolve-pivoted"
+    assert backward_error(A, x, rhs) <= 1e-15
+    monkeypatch.setattr(hjb, "bicgstab", lambda A, b, x0=None, **kwargs: (x0, 1))
+    y, name = hjb._linear_solve(A, rhs, np.zeros_like(rhs), 3)
+    assert name == "bicgstab->spsolve-pivoted"
+    assert np.array_equal(x, y)
+
+
+def test_spsolve_fails_loudly_on_a_singular_matrix():
+    A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        with pytest.raises(spla.MatrixRankWarning):
+            hjb.spsolve(A, np.array([1.0, 2.0, 3.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["n_model", "n_model_abandon", "single_class", "tree3"]),
+       points=st.integers(4, 41), radius=st.floats(3.0, 8.0),
+       boundary=st.sampled_from(["extrapolate", "static-mc"]))
+def test_spsolve_is_backward_stable(name, points, radius, boundary):
+    model, cost = shipped_model(name)
+    if model.classes == 3:
+        points = 4 + points % 6
+    A, rhs = evaluation_system(model, cost, points, radius, boundary)
+    x, _ = hjb.spsolve(A, rhs)
+    want = spla.spsolve(A, rhs)
+    assert backward_error(A, x, rhs) <= 1e-14
+    assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_three_d_krylov_stops_on_the_true_residual():
+    A, rhs = evaluation_system(*tree3_model(), 13, 4.5)
+    x, name = hjb._linear_solve(A, rhs, np.zeros_like(rhs), 3)
+    assert name == "bicgstab"
+    assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

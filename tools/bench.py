@@ -33,10 +33,11 @@ next.  The cases:
   says whether the two sides' discounted costs are the same bytes.
 - ``hjb``: seconds per ``solve_hjb`` with the ``extrapolate`` boundary and
   the default radius on ``models/n_model.json`` at 121² and 241² points and
-  on ``perfbench/models/tree3.json`` at 21³, 31³ and 41³, with policy
-  iterations, the linear solver of every iteration, convergence, peak
-  resident memory and the sup-norm gap between the two sides' values
-  relative to the parent's.
+  on ``perfbench/models/tree3.json`` at 21³, 31³ and 41³, and the seconds
+  of its linear solves alone (``solve_s``, the sum of the history's
+  ``solve_s``), with policy iterations, the linear solver of every
+  iteration, convergence, peak resident memory and the sup-norm gap between
+  the two sides' values relative to the parent's.
 - ``prelimit``: events per second of ``run_replications`` on
   ``models/n_model.json`` at n = 400, horizon 1, under ``GreedyPriority(0,
   1)`` and ``ImbalanceTracking`` at the uniform point, for R = 1, 5 and 1000
@@ -241,7 +242,8 @@ def hjb_worker(name: str, points: int) -> dict:
     t0 = time.perf_counter()
     sol = hw.solve_hjb(model, cost, grid, boundary="extrapolate")
     wall = time.perf_counter() - t0
-    return {"wall_s": wall, "iterations": sol.report.iterations, "converged": sol.report.converged,
+    return {"wall_s": wall, "solve_s": sum(h.solve_s for h in sol.report.history),
+            "iterations": sol.report.iterations, "converged": sol.report.converged,
             # steps recorded before the solver field existed were all sparse LU
             "solvers": [getattr(h, "solver", "spsolve") for h in sol.report.history],
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -416,7 +418,8 @@ def cases() -> dict:
         "hjb": Case({"benchmark": "seconds per solve_hjb, extrapolate boundary, default radius",
                      "models": {name: str(path.relative_to(ROOT)) for name, path in MODELS.items()}},
                     [({"model": name, "points": points}, [(name, points)] * repeats)
-                     for name, points, repeats in GRIDS], hjb_worker, hjb_fields),
+                     for name, points, repeats in GRIDS], hjb_worker, hjb_fields,
+                    ("wall_s", "solve_s")),
         "prelimit": Case({"benchmark": "pre-limit events per second, run_replications",
                           "model": "models/n_model.json", "n": N, "horizon": HORIZON,
                           "seed": SEED, "repeats": {str(k): v for k, v in REPS.items()}},
