@@ -205,12 +205,16 @@ def cmd_simulate(args, out):
     model, _ = _load_model(args.model)
     x0 = _floats(args.x0, model.classes, "--x0") if args.x0 else np.zeros(model.classes)
     _steps(args.horizon, args.dt)
+    if args.moments:
+        times = _floats(args.moments, name="--moments")
+        if max(times) / args.dt > MAX_STEPS:
+            raise CliError(f"--moments {max(times):g} spans more than {MAX_STEPS:g} "
+                           f"--dt {args.dt:g} steps")
     policy = _parse_policy(args.policy, model, args.horizon, args.seed)
     path = sde.simulate_path(model, x0, policy, args.horizon, args.dt, seed=args.seed)
     path.to_csv(out / "path.csv")
     doc = {"horizon": args.horizon, "dt": args.dt, "terminal": path.x[-1].tolist()}
     if args.moments:
-        times = _floats(args.moments, name="--moments")
         curve = sde.moment_curve(model, policy, x0, 2.0, times, args.paths,
                                  dt=args.dt, seed=args.seed, threads=args.threads)
         model_mod.write_csv(out / "moments.csv",

@@ -295,22 +295,25 @@ def hamiltonian(model: TreeModel, cost: RunningCostSpec, x, p):
 # the improvement step switches to it (Howard's rule with strict improvement)
 TIE_RTOL = 1e-12
 
+# the most policy-iteration steps a solve takes
+MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class HJBIteration:
     """One policy-iteration step; a solve stops at the first step whose
     ``policy_changes`` is 0, as the next solve would repeat its system.
 
-    ``sup_update`` is the sup-norm change that one ``method="value"`` sweep
-    would make to the value just solved, so both methods report the same
-    quantity; ``policy_changes`` counts the interior points whose control the
-    improvement step changed; ``solve_s`` is the seconds spent in the linear
-    solve, and ``solver`` names it: ``"spsolve"`` (sparse LU with diagonal
-    pivots, 1-D and 2-D), ``"spsolve-pivoted"`` (that LU failed its
-    backward-error check and partial pivoting solved the system instead),
-    ``"bicgstab"`` (3-D), or ``"bicgstab->spsolve"`` and
-    ``"bicgstab->spsolve-pivoted"`` (BiCGSTAB did not converge and LU solved
-    the system instead).
+    ``sup_update`` is the sup-norm change that one sweep of the discrete
+    Bellman operator makes to the value just solved: its Bellman residual,
+    at rounding level once the policy is optimal; ``policy_changes`` counts
+    the interior points whose control the improvement step changed;
+    ``solve_s`` is the seconds spent in the linear solve, and ``solver``
+    names it: ``"spsolve"`` (sparse LU with diagonal pivots, 1-D and 2-D),
+    ``"spsolve-pivoted"`` (that LU failed its backward-error check and
+    partial pivoting solved the system instead), ``"bicgstab"`` (3-D), or
+    ``"bicgstab->spsolve"`` and ``"bicgstab->spsolve-pivoted"`` (BiCGSTAB
+    did not converge and LU solved the system instead).
     """
 
     sup_update: float
@@ -321,7 +324,6 @@ class HJBIteration:
 
 @dataclass(frozen=True)
 class HJBReport:
-    method: str
     boundary: str
     iterations: int
     converged: bool
@@ -453,15 +455,15 @@ def solve_hjb(
     cost: RunningCostSpec,
     grid: Grid,
     boundary: str = "static-mc",
-    method: str = "policy",
     tol: float = 1e-8,
-    max_iter: int | None = None,
     boundary_paths: int = 2000,
     boundary_dt: float = 1e-3,
     seed: int = 0,
     threads: int = 1,
 ) -> HJBSolution:
-    """Solve the dynamic-programming equation on the grid.
+    """Solve the dynamic-programming equation on the grid by policy iteration:
+    exact evaluation of the current control field by a sparse solve, then a
+    monotone improvement step, for at most ``MAX_ITER`` steps.
 
     Parameters
     ----------
@@ -473,24 +475,16 @@ def solve_hjb(
     threads:
         Worker threads for the ``"static-mc"`` boundary ensemble; its values
         are byte-identical for any count (``sde.ensemble``).
-    method:
-        ``"policy"`` alternates exact evaluation of the current control
-        field (a sparse solve) with a monotone improvement sweep and is the
-        default.  ``"value"`` runs plain damped-free fixed-point sweeps of
-        the same discretization; it is kept for cross-checks and is slow on
-        fine grids.
     tol:
-        Positive and finite.  ``sup_update`` is, for both methods, the
-        sup-norm change of one value sweep: ``"value"`` converges once it is
-        at most ``tol``.  ``"policy"`` stops at the first improvement step
+        Positive and finite.  The loop stops at the first improvement step
         that changes no control, since the next solve would repeat the same
         system, and has converged if that step's ``sup_update`` (the Bellman
-        residual of the solved value, at rounding level) is at most ``tol``.
-        The improvement keeps a point's current control unless a candidate
-        beats it by more than ``TIE_RTOL * max(1, |f|_inf)``: on the
-        zero-imbalance plane every control gives the same value up to
+        residual of the solved value, see ``HJBIteration``) is at most
+        ``tol``.  The improvement keeps a point's current control unless a
+        candidate beats it by more than ``TIE_RTOL * max(1, |f|_inf)``: on
+        the zero-imbalance plane every control gives the same value up to
         rounding, and a plain ``argmin`` would cycle among them forever.
-        ``report.history`` records every policy-iteration step.
+        ``report.history`` records every step.
 
     The policy evaluation solves with sparse LU in 1-D and 2-D
     (``spsolve``: diagonal pivots and one refinement step, partial pivoting
@@ -504,8 +498,6 @@ def solve_hjb(
         raise ValueError("grid solves are limited to 3 classes or fewer")
     if grid.dim != model.classes:
         raise ValueError("grid dimension must equal the class count")
-    if method not in ("policy", "value"):
-        raise ValueError(f"unknown method {method!r}")
     if boundary not in ("static-mc", "extrapolate"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
     if not (0.0 < tol < np.inf):
@@ -513,8 +505,6 @@ def solve_hjb(
     if boundary == "extrapolate" and grid.counts.min() < 4:
         # on 3 points the two extrapolation rows of a line coincide
         raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
-    if max_iter is None:
-        max_iter = 100 if method == "policy" else 200_000
 
     import scipy.sparse as sp  # see spsolve
 
@@ -541,66 +531,45 @@ def solve_hjb(
     f = g.copy()
     sel = np.arange(len(interior))
 
-    def candidates(fcur):
-        return ((WP * fcur[nb_p]).sum(axis=-1) + (WM * fcur[nb_m]).sum(axis=-1) + LV) / DEN
-
-    def sweep(fcur, stacked):
-        """One value-iteration step from ``fcur``, given ``candidates(fcur)``."""
-        fn = fcur.copy()
+    # interior rows: the diagonal, then every +e_d and every -e_d neighbour
+    rows = np.concatenate([np.tile(interior, 1 + 2 * grid.dim), b_rows])
+    cols = np.concatenate([interior, nb_p.T.ravel(), nb_m.T.ravel(), b_cols])
+    pol = LV.argmin(axis=0)
+    converged = False
+    history = []
+    for _ in range(MAX_ITER):
+        data = np.concatenate(
+            [DEN[pol, sel], -WP[pol, sel].T.ravel(), -WM[pol, sel].T.ravel(), b_data]
+        )
+        rhs = g.copy()
+        rhs[interior] = LV[pol, sel]
+        A = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
+        t0 = time.perf_counter()
+        f, solver = _linear_solve(A, rhs, f, grid.dim)
+        solve_s = time.perf_counter() - t0
+        # every candidate's one-sweep value; their minimum is a Bellman sweep
+        stacked = ((WP * f[nb_p]).sum(axis=-1) + (WM * f[nb_m]).sum(axis=-1) + LV) / DEN
+        fn = f.copy()
         fn[interior] = stacked.min(axis=0)
         fn -= B @ fn - g
-        return fn
-
-    history = []
-    if method == "value":
-        it = 0
-        delta = np.inf
-        while it < max_iter and delta > tol:
-            fn = sweep(f, candidates(f))
-            delta = float(np.abs(fn - f).max())
-            f = fn
-            it += 1
-        converged = delta <= tol
-        iterations = it
-    else:
-        # interior rows: the diagonal, then every +e_d and every -e_d neighbour
-        rows = np.concatenate([np.tile(interior, 1 + 2 * grid.dim), b_rows])
-        cols = np.concatenate([interior, nb_p.T.ravel(), nb_m.T.ravel(), b_cols])
-        pol = LV.argmin(axis=0)
-        delta = np.inf
-        converged = False
-        iterations = 0
-        for it in range(1, max_iter + 1):
-            data = np.concatenate(
-                [DEN[pol, sel], -WP[pol, sel].T.ravel(), -WM[pol, sel].T.ravel(), b_data]
-            )
-            rhs = g.copy()
-            rhs[interior] = LV[pol, sel]
-            A = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
-            t0 = time.perf_counter()
-            f, solver = _linear_solve(A, rhs, f, grid.dim)
-            solve_s = time.perf_counter() - t0
-            iterations = it
-            stacked = candidates(f)
-            delta = float(np.abs(sweep(f, stacked) - f).max())
-            best = stacked.argmin(axis=0)
-            tie = TIE_RTOL * max(1.0, float(np.abs(f).max()))
-            new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
-            changes = int((new_pol != pol).sum())
-            history.append(HJBIteration(delta, changes, solve_s, solver))
-            if changes == 0:
-                converged = delta <= tol
-                break
-            pol = new_pol
+        delta = float(np.abs(fn - f).max())
+        best = stacked.argmin(axis=0)
+        tie = TIE_RTOL * max(1.0, float(np.abs(f).max()))
+        new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
+        changes = int((new_pol != pol).sum())
+        history.append(HJBIteration(delta, changes, solve_s, solver))
+        if changes == 0:
+            converged = delta <= tol
+            break
+        pol = new_pol
 
     field = ValueField(grid=grid, values=f)
     resid = pde_residual(field, model, cost) if min(grid.counts) >= 5 else float("nan")
     report = HJBReport(
-        method=method,
         boundary=boundary,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
-        sup_update=delta,
+        sup_update=history[-1].sup_update,
         interior_residual=resid,
         priority_edge=edge,
         history=tuple(history),

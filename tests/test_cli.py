@@ -285,6 +285,7 @@ def _field_files(model_file, tmp_path):
     ("counterexample", "--config", {"threads": 2}),
     ("integral-residual", "--config", {"threads": 2}),
     ("prelimit", "--config", {"threads": 2}),
+    ("simulate", "--moments", "1e5", "--horizon", "0.1"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"

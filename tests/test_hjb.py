@@ -209,14 +209,66 @@ def test_residual_detects_point_perturbation():
     assert hw.pde_residual(field, model, cost) >= model.gamma
 
 
-def test_value_iteration_matches_policy_iteration():
-    model = n_model()
-    cost = nmodel_cost()
-    grid = hw.default_grid(model, points_per_dim=21, radius=4.0)
-    a = hw.solve_hjb(model, cost, grid, boundary="extrapolate", method="policy")
-    b = hw.solve_hjb(model, cost, grid, boundary="extrapolate", method="value",
-                     tol=1e-10, max_iter=500_000)
-    assert np.abs(a.value.values - b.value.values).max() < 1e-7
+def smooth_boundary_values(model, cost, grid, *args):
+    """A smooth stand-in for the simulated static-mc boundary data."""
+    return 1.0 + np.abs(grid.points[grid.boundary]).sum(axis=1)
+
+
+def bellman_sweep(model, cost, grid, boundary):
+    """``(sweep, g)``: one value-iteration sweep of the discretization that
+    ``solve_hjb`` solves, and its boundary data.  A sweep takes every
+    candidate control's one-step value at the interior points, keeps the
+    least, and then reapplies the boundary rows ``B f = g``: extrapolation
+    rows with zero data, or Dirichlet identity rows with the static-mc data
+    of ``smooth_boundary_values``."""
+    WP, WM, LV, DEN = hjb._candidate_tables(model, cost, grid)
+    inner = grid.interior
+    up, down = inner[:, None] + grid.strides, inner[:, None] - grid.strides
+    g = np.zeros(grid.size)
+    if boundary == "extrapolate":
+        rows, cols, data = hjb._extrapolation_rows(grid)
+    else:
+        g[grid.boundary] = smooth_boundary_values(model, cost, grid)
+        rows = cols = grid.boundary
+        data = np.ones(len(rows))
+    B = sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
+
+    def sweep(f):
+        fn = f.copy()
+        fn[inner] = (((WP * f[up]).sum(-1) + (WM * f[down]).sum(-1) + LV) / DEN).min(axis=0)
+        fn -= B @ fn - g
+        return fn
+
+    return sweep, g
+
+
+def value_iteration(model, cost, grid, boundary):
+    """The reference solver: plain sweeps from the boundary data until the
+    sup-norm change is at most 1e-10 (a few hundred sweeps on the grids
+    here; 100 000 without it fails the test instead of hanging it)."""
+    sweep, f = bellman_sweep(model, cost, grid, boundary)
+    for _ in range(100_000):
+        fn = sweep(f)
+        delta = np.abs(fn - f).max()
+        f = fn
+        if delta <= 1e-10:
+            return f
+    raise AssertionError(f"value iteration still moved {delta:g} after 100 000 sweeps")
+
+
+@pytest.mark.parametrize("name, points, boundary, solver", [
+    ("n_model", 21, "extrapolate", "spsolve"),
+    ("n_model", 21, "static-mc", "spsolve"),
+    ("tree3", 9, "extrapolate", "bicgstab"),
+])
+def test_value_iteration_matches_policy_iteration(name, points, boundary, solver):
+    model, cost = (n_model(), nmodel_cost()) if name == "n_model" else tree3_model()
+    grid = hw.default_grid(model, points, radius=4.0)
+    with patch.object(hjb, "_boundary_values_mc", smooth_boundary_values):
+        sol = hw.solve_hjb(model, cost, grid, boundary=boundary)
+    assert {step.solver for step in sol.report.history} == {solver}
+    reference = value_iteration(model, cost, grid, boundary)
+    assert np.abs(sol.value.values - reference).max() < 1e-7
 
 
 def test_three_class_tree_converges():
@@ -242,15 +294,9 @@ def test_policy_iteration_stops_at_first_unchanged_policy():
     assert changes[-1] == 0 and 0 not in changes[:-1]
     assert {step.solver for step in rep.history} == {"spsolve"}
 
-    # one value-method sweep from the returned field
-    WP, WM, LV, DEN = hjb._candidate_tables(model, cost, grid)
-    inner = grid.interior
-    up, down = inner[:, None] + grid.strides, inner[:, None] - grid.strides
-    fn = f.copy()
-    fn[inner] = (((WP * f[up]).sum(-1) + (WM * f[down]).sum(-1) + LV) / DEN).min(axis=0)
-    rows, cols, data = hjb._extrapolation_rows(grid)
-    fn -= sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size)) @ fn
-    sweep = float(np.abs(fn - f).max())
+    # one value-iteration sweep from the returned field
+    bellman, _ = bellman_sweep(model, cost, grid, "extrapolate")
+    sweep = float(np.abs(bellman(f) - f).max())
     assert rep.history[-1].sup_update == rep.sup_update == sweep
     assert sweep <= 1e-12 * np.abs(f).max()
 
@@ -287,12 +333,9 @@ def evaluation_system(model, cost, points, radius, boundary="extrapolate"):
     def capture(A, rhs, x0, dim):
         raise _Captured(A, rhs)
 
-    def boundary_values(model, cost, grid, *args):
-        return 1.0 + np.abs(grid.points[grid.boundary]).sum(axis=1)
-
     grid = hw.default_grid(model, points, radius)
     with patch.object(hjb, "_linear_solve", capture), \
-            patch.object(hjb, "_boundary_values_mc", boundary_values):
+            patch.object(hjb, "_boundary_values_mc", smooth_boundary_values):
         try:
             hw.solve_hjb(model, cost, grid, boundary=boundary)
         except _Captured as caught:
