@@ -497,7 +497,9 @@ def _build_parser():
         p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
         # only the commands that run a Monte Carlo ensemble have workers to cap
         if threads:
-            p.add_argument("--threads", type=_POSITIVE_INT, default=1)
+            p.add_argument("--threads", type=_POSITIVE_INT, default=1,
+                           help="chunk workers (default 1); a chunk stepped on its own draws "
+                                "its next block of normals on one producer thread")
         if model:
             p.add_argument("--model")
         if dt:

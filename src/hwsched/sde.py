@@ -25,7 +25,11 @@ the coordinates in those two pairwise, and the results can differ from the
 loop's in the last bit.  Normal draws come in blocks of several steps, which
 a generator fills with the same values as one draw per step; each block is
 drawn into one preallocated buffer and scaled once into a class-major copy,
-so a step adds a contiguous slice to the class-major state.
+so a step adds a contiguous slice to the class-major state.  When a chunk is
+stepped on its own (``ensemble`` at one worker thread, or with one chunk)
+and spans several blocks of enough rows, one producer thread draws the next
+block while the loop steps the current one, from the same generator and in
+the same order, so the draws are the same bytes.
 
 Reproducibility is counter-based: path chunks of a fixed layout draw from
 generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
@@ -245,9 +249,13 @@ def _same_rows(T):
 
 # values per block of normal draws; a block is (K, B, I) with K = max(1, _BLOCK // (B I))
 _BLOCK = 2**15
+# fewest values per step (B I) for which a producer thread draws the next
+# block: below it, handing a block over costs more than the overlap saves
+_DRAW_AHEAD_MIN = 256
 
 
-def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), record=None):
+def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), record=None,
+               draw_ahead=True):
     """Advance a batch of paths: the one Euler loop of the package.
 
     ``x0s`` is the ``(B, I)`` batch of initial states.  Returns the per-path
@@ -284,9 +292,15 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     class-major ``(K, I, B)`` buffer, so a step adds one contiguous
     ``(I, B)`` slice to the state.  A generator fills a block with the
     values that ``K`` draws of ``(B, I)`` would give in turn, so the paths,
-    costs and ``record`` are the same bytes for any block size.  The side
-    of ``s`` is a bool array, and the gathered columns and the drift go
-    into buffers allocated once.
+    costs and ``record`` are the same bytes for any block size.  With
+    ``draw_ahead``, more than one block and at least ``_DRAW_AHEAD_MIN``
+    values a step, the raw draws alternate between two buffers: while the
+    loop steps block ``j``, one producer thread fills block ``j + 1``, with
+    the fill call alone, which runs without the GIL.  The blocks are still
+    filled one after another from ``rng``, so nothing changes in the bytes;
+    the thread is shut down before the call returns or raises.  The side of
+    ``s`` is a bool array, and the gathered columns and the drift go into
+    buffers allocated once.
     """
     X = np.array(x0s, dtype=float).T.copy()
     I, B = X.shape
@@ -331,59 +345,75 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     # a path's column is row + R side; with one row it is its side
     col = side if R == 1 else np.empty(B, dtype=np.intp)
     K = max(1, _BLOCK // (B * I))
-    # raw draws in generator order, and the same draws scaled, class-major
-    raw, noise = np.empty((K, B, I)), np.empty((K, I, B))
-    for start in range(0, n_steps, K):
-        m = min(K, n_steps - start)
-        rng.standard_normal(out=raw[:m])
-        np.multiply(raw[:m].transpose(0, 2, 1), noise_scale, out=noise[:m])
-        for k, xi in enumerate(noise[:m], start):
-            t = k * dt
-            _row_sum(X_rows, s)
-            np.abs(s, out=a)
-            np.less(s, 0.0, out=side)
-            if table is None:
-                U, V = policy.controls(X.T, t)
-                W = np.hstack(_columns(model, cost, U, V))
-            elif R > 1:
-                idx = policy.index(X.T, t)
+    producer = (ThreadPoolExecutor(1) if draw_ahead and n_steps > K and B * I >= _DRAW_AHEAD_MIN
+                else None)
+    # raw draws in generator order (with a producer, two buffers used in
+    # turn), and the same draws scaled, class-major
+    raws, noise = np.empty((1 if producer is None else 2, K, B, I)), np.empty((K, I, B))
+    filling = None
+    try:
+        for j, start in enumerate(range(0, n_steps, K)):
+            m = min(K, n_steps - start)
+            raw = raws[j % len(raws)]
+            if filling is None:
+                rng.standard_normal(out=raw[:m])
+            else:  # the producer filled this block while the last one was stepped
+                filling.result()
+            if producer is not None and start + K < n_steps:
+                # the fill call alone: it runs without the GIL
+                nxt = raws[(j + 1) % 2][:min(K, n_steps - start - K)]
+                filling = producer.submit(rng.standard_normal, out=nxt)
+            np.multiply(raw[:m].transpose(0, 2, 1), noise_scale, out=noise[:m])
+            for k, xi in enumerate(noise[:m], start):
+                t = k * dt
+                _row_sum(X_rows, s)
+                np.abs(s, out=a)
+                np.less(s, 0.0, out=side)
+                if table is None:
+                    U, V = policy.controls(X.T, t)
+                    W = np.hstack(_columns(model, cost, U, V))
+                elif R > 1:
+                    idx = policy.index(X.T, t)
+                    if record is not None:
+                        U, V = table[0][idx], table[1][idx]
+                if R > 1:
+                    np.multiply(side, R, out=col)
+                    col += idx
+                # indices are in range; mode "raise" would buffer the output
+                W.take(col, axis=1, out=g, mode="clip")
+                if linear:
+                    g *= a
+                else:
+                    g_drift *= a
+                    pos_w = a if cost.p == 1.0 else a**cost.p
+                    neg_w = a if cost.q == 1.0 else a**cost.q
+                    g_cost *= np.where(side, neg_w, pos_w)
+                if cost is not None:
+                    # evaluate adds constant + s^+ term + s^- term; one term is
+                    # zero and x + constant is constant + x
+                    if cost.constant:
+                        g_cost += cost.constant
+                    if cost.kappa:
+                        _row_sum(np.abs(X), norm)
+                        g_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
+                    g_cost *= disc * dt
+                    costs += g_cost
+                    disc *= decay
+                np.matmul(lin, X, out=b)
+                b += g_drift
+                if ell is not None:
+                    b += ell
+                b *= dt
+                X += b
                 if record is not None:
-                    U, V = table[0][idx], table[1][idx]
-            if R > 1:
-                np.multiply(side, R, out=col)
-                col += idx
-            # indices are in range; mode "raise" would buffer the output
-            W.take(col, axis=1, out=g, mode="clip")
-            if linear:
-                g *= a
-            else:
-                g_drift *= a
-                pos_w = a if cost.p == 1.0 else a**cost.p
-                neg_w = a if cost.q == 1.0 else a**cost.q
-                g_cost *= np.where(side, neg_w, pos_w)
-            if cost is not None:
-                # evaluate adds constant + s^+ term + s^- term; one term is
-                # zero and x + constant is constant + x
-                if cost.constant:
-                    g_cost += cost.constant
-                if cost.kappa:
-                    _row_sum(np.abs(X), norm)
-                    g_cost += cost.kappa * (norm if cost.m == 1.0 else norm**cost.m)
-                g_cost *= disc * dt
-                costs += g_cost
-                disc *= decay
-            np.matmul(lin, X, out=b)
-            b += g_drift
-            if ell is not None:
-                b += ell
-            b *= dt
-            X += b
-            if record is not None:
-                record[0][k], record[1][k], record[2][k] = U, V, raw[k - start]
-            X += xi
-            while due[p] == k + 1:
-                snaps[order[p]] = X.T
-                p += 1
+                    record[0][k], record[1][k], record[2][k] = U, V, raw[k - start]
+                X += xi
+                while due[p] == k + 1:
+                    snaps[order[p]] = X.T
+                    p += 1
+    finally:
+        if producer is not None:
+            producer.shutdown(cancel_futures=True)
     return costs, snaps
 
 
@@ -397,25 +427,31 @@ def ensemble(model: TreeModel, x0s, policy, n_paths: int, n_steps: int, dt: floa
     ``reduce(costs, snaps, size)`` on the output of ``_run_chunk``; the
     results come back in chunk order, so a reduction summed over them is
     byte-identical for any ``threads``.
+
+    ``threads`` counts chunk workers.  Chunks stepped one at a time (one
+    thread, or one chunk) each draw their next block of normals on one more
+    thread (``_run_chunk``'s ``draw_ahead``); with several workers the cores
+    are already busy, and the chunks draw inline.
     """
     snap_idx = [int(k) for k in snap_idx]
     if n_paths < 1 or dt <= 0 or n_steps < 0:
         raise ValueError("n_paths and dt must be positive and n_steps nonnegative")
     x0s = np.asarray(x0s, dtype=float)
     size = max(1, CHUNK // len(x0s))
+    chunks = range(-(-n_paths // size))
+    alone = threads <= 1 or len(chunks) == 1
 
     def work(c):
         n = min(size, n_paths - c * size)
         rng = np.random.default_rng([int(seed), stream + c])
         costs, snaps = _run_chunk(model, np.repeat(x0s, n, axis=0), policy, n_steps, dt, rng,
-                                  cost, snap_idx)
+                                  cost, snap_idx, draw_ahead=alone)
         return reduce(costs, snaps, n)
 
-    chunks = range(-(-n_paths // size))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, chunks))
-    return [work(c) for c in chunks]
+    if alone:
+        return [work(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, chunks))
 
 
 def path_snapshots(costs, snaps, size):
@@ -610,6 +646,10 @@ def mc_cost_batch(
     bad = cost.check()
     if bad:
         raise ValueError("invalid cost spec: " + "; ".join(bad))
+    if not (0.0 < dt < np.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if horizon is not None and not (0.0 < horizon < np.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     x0s = np.asarray(x0s, dtype=float)
     B = len(x0s)
     T = horizon if horizon is not None else 12.0 / model.gamma
@@ -662,6 +702,11 @@ def moment_curve(
     times = np.asarray(times, dtype=float)
     if exponent < 1:
         raise ValueError("moment exponent must be at least 1")
+    if not (0.0 < dt < np.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if times.ndim != 1 or not times.size or not (np.isfinite(times) & (times >= 0.0)).all():
+        raise ValueError("times must be a nonempty list of finite nonnegative values, "
+                         f"got {times.tolist()}")
     idx = [int(round(t / dt)) for t in times]
 
     def reduce(costs, snaps, size):

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +207,44 @@ def test_mc_cost_rejects_bad_inputs():
     policy = hw.StaticPriority.for_model(model, 0, 0)
     with pytest.raises(ValueError):
         hw.mc_cost(model, hw.RunningCostSpec(c=[-1.0], d=[0.0]), [0.0], policy, 10)
+
+
+@pytest.mark.parametrize("call, kwargs, name", [
+    ("mc_cost", dict(dt=0.0), "dt"),
+    ("mc_cost", dict(dt=-1e-3), "dt"),
+    ("mc_cost", dict(dt=np.nan), "dt"),
+    ("mc_cost", dict(dt=np.inf), "dt"),
+    ("mc_cost", dict(horizon=0.0), "horizon"),
+    ("mc_cost", dict(horizon=-1.0), "horizon"),
+    ("mc_cost", dict(horizon=np.inf), "horizon"),
+    ("mc_cost", dict(horizon=np.nan), "horizon"),
+    ("mc_cost_batch", dict(dt=0.0), "dt"),
+    ("mc_cost_batch", dict(horizon=-1.0), "horizon"),
+    ("moment_curve", dict(dt=0.0), "dt"),
+    ("moment_curve", dict(dt=np.inf), "dt"),
+    ("moment_curve", dict(times=[]), "times"),
+    ("moment_curve", dict(times=[1.0, -0.5]), "times"),
+    ("moment_curve", dict(times=[np.inf]), "times"),
+    ("moment_curve", dict(times=[np.nan]), "times"),
+    ("moment_curve", dict(times=[[1.0]]), "times"),
+])
+def test_monte_carlo_estimators_reject_bad_steps_and_times(monkeypatch, call, kwargs, name):
+    """A step, horizon or time list that spans no run raises ``ValueError``
+    naming it, before any path is simulated."""
+    model, cost = single_class_fixture()
+    policy = hw.StaticPriority.for_model(model, 0, 0)
+
+    def no_run(*args, **kw):
+        raise AssertionError("an ensemble ran before the inputs were checked")
+
+    monkeypatch.setattr(sde, "ensemble", no_run)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        if call == "mc_cost":
+            hw.mc_cost(model, cost, [0.0], policy, 10, **kwargs)
+        elif call == "mc_cost_batch":
+            hw.mc_cost_batch(model, cost, np.zeros((2, 1)), policy, 10, **kwargs)
+        else:
+            hw.moment_curve(model, policy, [0.0], 2.0, **{"times": [0.5], **kwargs}, n_paths=10)
 
 
 def test_moment_curve_zero_noise():
@@ -607,3 +647,116 @@ def test_run_chunk_looks_up_a_state_dependent_hjb_policy():
     x0s = np.random.default_rng(7).uniform(-3.0, 3.0, (200, 2))
     _, calls = _run_spied(model, cost, hw.GridMarkov(field), x0s, 30, 1e-2, 8)
     assert calls == 30
+
+
+def _spy_producers(monkeypatch):
+    """Counts the producer pools ``_run_chunk`` makes for its draws."""
+    made = []
+
+    def pool(*args, **kwargs):
+        made.append((args, kwargs))
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", pool)
+    return made
+
+
+@pytest.mark.parametrize("kind", ["static", "grid"])
+@pytest.mark.parametrize("B, n, draw_min", [
+    (64, 1200, None),   # 128 values a step, below the threshold: drawn inline
+    (200, 200, None),   # 81 steps a block: two whole blocks and a partial one
+    (500, 64, None),    # 32 steps a block: two whole blocks
+    (20000, 3, None),   # one step a block
+    (7, 2400, 1),       # two blocks, the second partial, with the threshold lowered
+])
+def test_run_chunk_draw_ahead_is_byte_identical(monkeypatch, kind, B, n, draw_min):
+    """Drawing the next block on a producer thread changes no byte of the
+    costs, the snapshots or ``record``, and leaves the generator where the
+    inline draws leave it."""
+    if draw_min is not None:
+        monkeypatch.setattr(sde, "_DRAW_AHEAD_MIN", draw_min)
+    model, cost = n_model(), nmodel_cost()
+    rng = np.random.default_rng(B)
+    policy = _policy(kind, model, rng)[0]
+    x0s = rng.uniform(-3.0, 3.0, (B, 2))
+    made = _spy_producers(monkeypatch)
+
+    def run(draw_ahead):
+        gen = np.random.default_rng(4)
+        rec = (np.empty((n, B, 2)), np.empty((n, B, 2)), np.empty((n, B, 2)))
+        costs, snaps = sde._run_chunk(model, x0s, policy, n, 1e-2, gen, cost, [0, 1, n // 2, n],
+                                      rec, draw_ahead=draw_ahead)
+        return [costs, snaps, *rec, gen.standard_normal(3)]
+
+    inline = run(False)
+    assert not made
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between the two threads as often as possible
+    try:
+        ahead = run(True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    K = max(1, sde._BLOCK // (2 * B))
+    assert len(made) == (n > K and 2 * B >= sde._DRAW_AHEAD_MIN)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ahead, inline))
+
+
+def test_ensemble_draws_ahead_only_when_chunks_run_one_at_a_time(monkeypatch):
+    """Two chunks of 65536 and 14464 rows, one step a block: each gets a
+    producer at one worker thread and none at two, with the same bytes."""
+    model, cost = n_model(), nmodel_cost()
+    policy = hw.StaticPriority.for_model(model, 0, 1)
+    x0s = np.array([[0.5, -0.5], [-1.0, 0.2]])
+    made = _spy_producers(monkeypatch)
+
+    def run(threads):
+        made.clear()
+        parts = hw.ensemble(model, x0s, policy, 40000, 4, 1e-2, 11,
+                            lambda costs, snaps, size: (costs.copy(), snaps.copy()),
+                            cost=cost, snap_idx=[0, 2, 4], threads=threads)
+        assert len(parts) == 2
+        return [a for part in parts for a in part], len(made)
+
+    (one, one_made), (two, two_made) = run(1), run(2)
+    assert one_made == 2
+    # at two threads the one pool is the chunk workers'
+    assert two_made == 1 and made[0] == ((), {"max_workers": 2})
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(one, two))
+
+
+class _FailingIndex(hw.GridMarkov):
+    """A ``GridMarkov`` whose ``index`` raises from time ``fail_at`` on."""
+
+    def __init__(self, field, fail_at):
+        super().__init__(field)
+        self.fail_at = fail_at
+
+    def index(self, X, t):
+        if t >= self.fail_at:
+            raise RuntimeError("index failed")
+        return super().index(X, t)
+
+
+@pytest.mark.parametrize("entry", ["run_chunk", "ensemble"])
+@pytest.mark.parametrize("fail_step", [0, 40])
+def test_no_draw_thread_outlives_a_failing_run(monkeypatch, entry, fail_step):
+    """A policy that raises at step 0 (the producer filling block 1) or at
+    step 40 (in block 1, the producer filling block 2) propagates its error,
+    and the producer thread is gone when the call returns."""
+    model, cost = n_model(), nmodel_cost()
+    grid = hw.Grid([-2.0, -2.0], [2.0, 2.0], [5, 5])
+    rng = np.random.default_rng(12)
+    u, v = np.eye(2)[rng.integers(0, 2, grid.size)], np.eye(2)[rng.integers(0, 2, grid.size)]
+    dt = 1e-2
+    policy = _FailingIndex(hw.PolicyField(grid=grid, u=u, v=v), (fail_step - 0.5) * dt)
+    x0s = rng.uniform(-1.0, 1.0, (500, 2))  # 32 steps a block
+    made = _spy_producers(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="index failed"):
+        if entry == "run_chunk":
+            sde._run_chunk(model, x0s, policy, 100, dt, np.random.default_rng(0), cost)
+        else:
+            hw.ensemble(model, x0s[:1], policy, 500, 100, dt, 0, lambda *a: None, cost=cost)
+    assert len(made) == 1
+    assert threading.active_count() == threads

@@ -13,8 +13,8 @@ next.  The cases:
 
 - ``euler``: path-steps per second of ``sde._run_chunk`` on
   ``models/n_model.json`` with its linear cost and dt 1e-3, from starts drawn
-  uniformly on [-2, 2]², at B = 1, 200, 500 and 65536 paths, after one short
-  warm-up call, under three policies:
+  uniformly on [-2, 2]², at B = 1, 64, 100, 200, 500 and 65536 paths, after
+  one short warm-up call, under three policies:
 
   - ``static_0_1``: ``StaticPriority(0, 1)``;
   - ``grid_markov_61``: the ``GridMarkov`` of the ``mc_policy`` benchmark
@@ -169,7 +169,10 @@ def run_case(name: str, trees: dict, measure=measure, warm_up=warm_up) -> list:
 
 DT = 1e-3
 # paths -> (Euler steps per measurement, timed repeats)
-SIZES = {1: (20000, 5), 200: (8000, 5), 500: (4000, 5), 65536: (60, 3)}
+# 64 and 100 rows draw inline (below sde._DRAW_AHEAD_MIN values a step), 200
+# and up on a producer thread
+SIZES = {1: (20000, 5), 64: (8000, 5), 100: (8000, 5), 200: (8000, 5), 500: (4000, 5),
+         65536: (60, 3)}
 POLICIES = ("static_0_1", "grid_markov_61", "grid_lookup_61")
 # values per block of normal draws in the gathered-column loop (its _BLOCK)
 BLOCK = 2**15
