@@ -171,6 +171,9 @@ def _smooth_controls(model, n, dt, rng):
 # the most steps a run may take: a path of that many steps already fills
 # hundreds of megabytes
 MAX_STEPS = 10**7
+# the most points a solve-hjb grid may have: a solve takes about 1.6 kB a
+# point (n_model, 121^2 to 601^2), so that many take about 1.6 GB
+MAX_GRID_POINTS = 10**6
 
 
 def _steps(horizon, dt):
@@ -229,12 +232,17 @@ def cmd_simulate(args, out):
 def cmd_solve_hjb(args, out):
     model, cost = _load_model(args.model)
     cost = _require_cost(cost)
+    # solve_hjb checks this too, but only after the static-mc data is simulated
+    if model.classes > 3:
+        raise CliError("grid solves are limited to 3 classes or fewer")
+    if args.points**model.classes > MAX_GRID_POINTS:
+        raise CliError(f"--points {args.points} on {model.classes} classes gives more than "
+                       f"{MAX_GRID_POINTS:g} grid points")
     grid = hjb.default_grid(model, points_per_dim=args.points, radius=args.radius)
     try:
-        sol = hjb.solve_hjb(
-            model, cost, grid, boundary=args.boundary, tol=args.tol,
-            boundary_paths=args.boundary_paths, seed=args.seed, threads=args.threads,
-        )
+        boundary = args.boundary if args.boundary == "extrapolate" else hjb._boundary_values_mc(
+            model, cost, grid, args.boundary_paths, seed=args.seed, threads=args.threads)
+        sol = hjb.solve_hjb(model, cost, grid, boundary=boundary, tol=args.tol)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     hjb.save_field(sol.value, model, out / "value.field")
@@ -243,7 +251,7 @@ def cmd_solve_hjb(args, out):
         "iterations": sol.report.iterations,
         "sup_update": sol.report.sup_update,
         "interior_residual": sol.report.interior_residual,
-        "boundary": sol.report.boundary,
+        "boundary": args.boundary,
         "grid": grid.to_dict(),
         "history": [dataclasses.asdict(step) for step in sol.report.history],
     })

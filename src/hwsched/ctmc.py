@@ -333,9 +333,14 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
     the horizon), the integer samples ``(X, Y, Z)``, each row's event count
     and the realized start.
     """
+    if not (0.0 < horizon < np.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 11)
     sample_times = np.asarray(sample_times, dtype=float)
+    if not (np.isfinite(sample_times) & (sample_times >= 0.0)).all():
+        raise ValueError("sample_times must be finite and nonnegative, "
+                         f"got {sample_times.tolist()}")
     R, S, I, J = len(seeds), len(sample_times), model.classes, model.stations
     IJ = I * J
     caps = scaling.server_counts(model)

@@ -26,9 +26,10 @@ exact zero multiplies gets the control that would be optimal across the
 plane ``s = 0``, not a tie-break.
 
 The box truncates an unbounded problem, so boundary data is a modeling
-choice: either Dirichlet values simulated under a static-priority policy
-(an upper bound on the optimal cost; the default) or second-derivative-zero
-extrapolation.
+choice and an input of the solve: second-derivative-zero extrapolation (the
+default) or Dirichlet values per boundary point, such as the static-priority
+costs (an upper bound on the optimal cost) that the CLI's ``static-mc``
+boundary simulates with ``_boundary_values_mc``.
 """
 
 from __future__ import annotations
@@ -329,7 +330,6 @@ class HJBReport:
     converged: bool
     sup_update: float
     interior_residual: float
-    priority_edge: tuple[int, int] | None = None
     history: tuple[HJBIteration, ...] = ()
 
 
@@ -350,8 +350,11 @@ def _candidate_tables(model, cost, grid):
     return WP, WM, LV, model.gamma + WP.sum(axis=-1) + WM.sum(axis=-1)
 
 
-def _boundary_values_mc(model, cost, grid, n_paths, dt, seed, edge, threads):
-    policy = StaticPriority.for_model(model, *edge)
+def _boundary_values_mc(model, cost, grid, n_paths, dt=1e-3, seed=0, threads=1):
+    """Monte Carlo cost of the static priority ``default_priority_edge`` at
+    every point of ``grid.boundary``: the CLI's ``static-mc`` Dirichlet data.
+    Byte-identical for any ``threads`` (``sde.ensemble``)."""
+    policy = StaticPriority.for_model(model, *default_priority_edge(model))
     pts = grid.points[grid.boundary]
     means, _, _ = sde.mc_cost_batch(
         model, cost, pts, policy, n_paths=n_paths, dt=dt, seed=seed, threads=threads
@@ -454,12 +457,8 @@ def solve_hjb(
     model: TreeModel,
     cost: RunningCostSpec,
     grid: Grid,
-    boundary: str = "static-mc",
+    boundary="extrapolate",
     tol: float = 1e-8,
-    boundary_paths: int = 2000,
-    boundary_dt: float = 1e-3,
-    seed: int = 0,
-    threads: int = 1,
 ) -> HJBSolution:
     """Solve the dynamic-programming equation on the grid by policy iteration:
     exact evaluation of the current control field by a sparse solve, then a
@@ -468,13 +467,12 @@ def solve_hjb(
     Parameters
     ----------
     boundary:
-        ``"static-mc"`` simulates the static-priority cost at every boundary
-        point and imposes it as Dirichlet data; ``"extrapolate"`` closes the
-        box with second-derivative-zero extrapolation and needs at least 4
-        points per dimension.
-    threads:
-        Worker threads for the ``"static-mc"`` boundary ensemble; its values
-        are byte-identical for any count (``sde.ensemble``).
+        ``"extrapolate"`` (the default) closes the box with
+        second-derivative-zero extrapolation and needs at least 4 points per
+        dimension.  An array of one finite value per point of
+        ``grid.boundary`` is imposed there as Dirichlet data; the CLI's
+        ``static-mc`` boundary passes the simulated costs of
+        ``_boundary_values_mc``.
     tol:
         Positive and finite.  The loop stops at the first improvement step
         that changes no control, since the next solve would repeat the same
@@ -498,11 +496,14 @@ def solve_hjb(
         raise ValueError("grid solves are limited to 3 classes or fewer")
     if grid.dim != model.classes:
         raise ValueError("grid dimension must equal the class count")
-    if boundary not in ("static-mc", "extrapolate"):
-        raise ValueError(f"unknown boundary mode {boundary!r}")
+    extrapolate = isinstance(boundary, str) and boundary == "extrapolate"
+    if not extrapolate and (isinstance(boundary, str) or np.shape(boundary) != grid.boundary.shape
+                            or not np.isfinite(boundary).all()):
+        raise ValueError(f'boundary must be "extrapolate" or an array of one finite value per '
+                         f"point of grid.boundary ({len(grid.boundary)}), got {boundary!r}")
     if not (0.0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if boundary == "extrapolate" and grid.counts.min() < 4:
+    if extrapolate and grid.counts.min() < 4:
         # on 3 points the two extrapolation rows of a line coincide
         raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
 
@@ -514,19 +515,15 @@ def solve_hjb(
     nb_p = interior[:, None] + grid.strides
     nb_m = interior[:, None] - grid.strides
 
-    # boundary rows B f = g: Dirichlet identity rows with the simulated data,
-    # or extrapolation rows with zero data
-    edge = None
+    # boundary rows B f = g: extrapolation rows with zero data, or Dirichlet
+    # identity rows with the given data
     g = np.zeros(N)
-    if boundary == "static-mc":
-        edge = default_priority_edge(model)
-        g[grid.boundary] = _boundary_values_mc(
-            model, cost, grid, boundary_paths, boundary_dt, seed, edge, threads
-        )
+    if extrapolate:
+        b_rows, b_cols, b_data = _extrapolation_rows(grid)
+    else:
+        g[grid.boundary] = boundary
         b_rows = b_cols = grid.boundary
         b_data = np.ones(len(grid.boundary))
-    else:
-        b_rows, b_cols, b_data = _extrapolation_rows(grid)
     B = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(N, N))
     f = g.copy()
     sel = np.arange(len(interior))
@@ -566,12 +563,11 @@ def solve_hjb(
     field = ValueField(grid=grid, values=f)
     resid = pde_residual(field, model, cost) if min(grid.counts) >= 5 else float("nan")
     report = HJBReport(
-        boundary=boundary,
+        boundary="extrapolate" if extrapolate else "dirichlet",
         iterations=len(history),
         converged=converged,
         sup_update=history[-1].sup_update,
         interior_residual=resid,
-        priority_edge=edge,
         history=tuple(history),
     )
     return HJBSolution(value=field, report=report)
@@ -638,7 +634,8 @@ def box_sensitivity(
     """Re-solve on an enlarged box and report the max shift on the original.
 
     Quantifies how much the boundary surrogate leaks into the region of
-    interest.
+    interest.  Both boxes are closed by extrapolation: Dirichlet data belongs
+    to one grid, so an array ``boundary`` fails the enlarged solve's check.
     """
     counts = np.rint((grid.counts - 1) * scale).astype(int) + 1
     big = Grid(grid.lows * scale, grid.highs * scale, counts)

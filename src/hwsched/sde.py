@@ -202,6 +202,19 @@ class SimPath:
         write_csv(path, data, ",".join(cols))
 
 
+def _n_steps(horizon, dt):
+    """The number of ``dt`` Euler steps in ``horizon``: both must be positive
+    and finite, and span at least one step."""
+    if not (0.0 < dt < np.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (0.0 < horizon < np.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    n = int(round(horizon / dt))
+    if n == 0:
+        raise ValueError(f"horizon must be at least dt / 2, one step, got {horizon!r} at dt {dt!r}")
+    return n
+
+
 def simulate_path(
     model: TreeModel,
     x0,
@@ -211,9 +224,7 @@ def simulate_path(
     seed: int = 0,
 ) -> SimPath:
     """One controlled path: the single path of ``ensemble(..., seed, stream=0)``."""
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
-    n = int(round(horizon / dt))
+    n = _n_steps(horizon, dt)
     I = model.classes
     u, v, xi = np.empty((n, I)), np.empty((n, model.stations)), np.empty((n, I))
     rng = np.random.default_rng([int(seed), 0])
@@ -646,14 +657,10 @@ def mc_cost_batch(
     bad = cost.check()
     if bad:
         raise ValueError("invalid cost spec: " + "; ".join(bad))
-    if not (0.0 < dt < np.inf):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if horizon is not None and not (0.0 < horizon < np.inf):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    T = horizon if horizon is not None else 12.0 / model.gamma
+    n_steps = _n_steps(T, dt)
     x0s = np.asarray(x0s, dtype=float)
     B = len(x0s)
-    T = horizon if horizon is not None else 12.0 / model.gamma
-    n_steps = int(round(T / dt))
 
     # moment snapshots for the tail fit
     fit_times = np.geomspace(max(8 * dt, T / 16.0), T, 6)

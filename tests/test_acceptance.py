@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hwsched as hw
-from hwsched import sde
+from hwsched import hjb, sde
 from hwsched.detsys import identity_residual
 from conftest import (
     balanced_totals,
@@ -46,8 +46,8 @@ def slow_n_model(theta):
 def single_class_solution():
     model, cost = single_class_fixture()
     grid = hw.Grid([-6.0], [6.0], [1201])
-    sol = hw.solve_hjb(model, cost, grid, boundary="static-mc",
-                       boundary_paths=20_000, boundary_dt=1e-3, seed=SEED)
+    boundary = hjb._boundary_values_mc(model, cost, grid, 20_000, dt=1e-3, seed=SEED)
+    sol = hw.solve_hjb(model, cost, grid, boundary=boundary)
     return model, cost, sol
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench.py"
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +168,18 @@ def test_output_file_names_the_case(bench):
     assert bench.BENCH_FILE.format(sha="321cda7", case="hjb") == "BENCH_321cda7_hjb.json"
     names = {bench.BENCH_FILE.format(sha="321cda7", case=name) for name in bench.cases()}
     assert len(names) == len(bench.cases())
+
+
+def test_traced_run_wraps_every_layer_boundary(monkeypatch):
+    """``perfbench/layers.Patched`` resolves every name it wraps, installs its
+    wrappers on enter and puts the originals back on exit; a refactor that
+    drops a traced name fails here, not in ``perfbench/run.py --trace 1``."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    patched = layers.Patched(importlib.import_module("spans").Tracer())
+    assert len(patched._wrappers) == 27
+    with patched:
+        for owner, attr, wrapper in patched._wrappers:
+            assert owner.__dict__[attr] is wrapper
+    for owner, attr, original in patched._saved:
+        assert owner.__dict__[attr] is original

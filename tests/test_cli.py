@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hwsched as hw
-from hwsched import cli
+from hwsched import cli, hjb
 from hwsched.cli import main
 from conftest import n_model, nmodel_cost, single_class_fixture, smooth_control_path, tree3_model
 
@@ -124,6 +124,39 @@ def test_solve_hjb_converges_at_cli_defaults(tmp_path):
     assert len(report["history"]) == report["iterations"]
     assert report["history"][-1]["policy_changes"] == 0
     assert report["history"][-1]["sup_update"] <= 1e-8
+
+
+def test_static_mc_boundary_is_data_the_cli_simulates(tmp_path):
+    out = tmp_path / "solve"
+    assert run("solve-hjb", "--model", MODELS / "n_model.json", "--points", "11",
+               "--radius", "4.5", "--boundary", "static-mc", "--boundary-paths", "5",
+               "--seed", "2", "--out", out) == 0
+    model, cost = hw.load_model(MODELS / "n_model.json")
+    grid = hw.default_grid(model, 11, 4.5)
+    boundary = hjb._boundary_values_mc(model, cost, grid, 5, seed=2)
+    hw.save_field(hw.solve_hjb(model, cost, grid, boundary=boundary).value, model,
+                  tmp_path / "value.field")
+    assert (out / "value.field").read_bytes() == (tmp_path / "value.field").read_bytes()
+    assert json.loads((out / "solve.json").read_text())["boundary"] == "static-mc"
+
+
+def test_solve_hjb_rejects_four_classes_before_simulating(tmp_path, capsys, monkeypatch):
+    mu = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [0.0, 1.5, 1.0], [0.0, 0.0, 2.0]])
+    psi_star = np.where(mu > 0, 0.5, 0.0)
+    lam, nu, x_star = hw.fluid_from_flows(mu, psi_star)
+    model = hw.TreeModel(
+        classes=4, stations=3, edges=((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)), mu=mu,
+        theta=[0.5] * 4, ell=[0.0] * 4, r=[1.0] * 4, gamma=1.0,
+        lam=lam, nu=nu, x_star=x_star, psi_star=psi_star)
+    path = tmp_path / "four.json"
+    hw.save_model(path, model, hw.RunningCostSpec(c=[1.0] * 4, d=[1.0] * 3))
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the boundary data was simulated before the class count was checked")
+
+    monkeypatch.setattr(hjb, "_boundary_values_mc", no_simulation)
+    assert run("solve-hjb", "--model", path, "--points", "5", "--out", tmp_path / "o") == 2
+    assert "3 classes or fewer" in capsys.readouterr().err
 
 
 def test_solve_json_is_strict_json_on_small_grids(tmp_path):
@@ -286,6 +319,8 @@ def _field_files(model_file, tmp_path):
     ("integral-residual", "--config", {"threads": 2}),
     ("prelimit", "--config", {"threads": 2}),
     ("simulate", "--moments", "1e5", "--horizon", "0.1"),
+    ("solve-hjb", "--points", "1001"),
+    ("solve-hjb", "--points", "3000000", "--boundary", "extrapolate"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"

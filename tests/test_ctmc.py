@@ -585,3 +585,31 @@ def test_single_class_path_follows_the_documented_stream():
         X += 1 if u2 * rates.sum() < rates[0] else -1
     np.testing.assert_array_equal(path.x_hat[:, 0], (np.array(xs) - 30.0) / np.sqrt(30.0))
     assert path.events == events
+
+
+@pytest.mark.parametrize("call", ["run_replications", "simulate_ctmc"])
+@pytest.mark.parametrize("horizon, times, name", [
+    (np.nan, None, "horizon"),
+    (np.inf, None, "horizon"),
+    (-1.0, None, "horizon"),
+    (0.0, None, "horizon"),
+    (1.0, [0.0, np.nan], "sample_times"),
+    (1.0, [np.inf], "sample_times"),
+    (1.0, [-0.5, 1.0], "sample_times"),
+])
+def test_prelimit_rejects_bad_horizons_and_sample_times(monkeypatch, call, horizon, times, name):
+    """A horizon or sample time that would hang the event loop, or sample a
+    run that never started, raises ``ValueError`` naming it before the loop."""
+    model = single_edge_model()
+    scaling = hw.ScalingSpec.centered(model, 25)
+    rule = hw.GreedyPriority(model, scaling)
+
+    def no_run(*args):
+        raise AssertionError("the event loop was set up before the inputs were checked")
+
+    monkeypatch.setattr(ctmc, "initial_headcounts", no_run)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        if call == "run_replications":
+            hw.run_replications(model, scaling, rule, [0.0], horizon, 3, sample_times=times)
+        else:
+            hw.simulate_ctmc(model, scaling, rule, [0.0], horizon, sample_times=times)

@@ -209,9 +209,15 @@ def test_residual_detects_point_perturbation():
     assert hw.pde_residual(field, model, cost) >= model.gamma
 
 
-def smooth_boundary_values(model, cost, grid, *args):
+def smooth_boundary_values(grid):
     """A smooth stand-in for the simulated static-mc boundary data."""
     return 1.0 + np.abs(grid.points[grid.boundary]).sum(axis=1)
+
+
+def boundary_data(grid, boundary):
+    """What ``solve_hjb`` takes for a test's boundary label: ``"extrapolate"``
+    as it is, and ``"static-mc"`` as Dirichlet data, the smooth stand-in."""
+    return boundary if boundary == "extrapolate" else smooth_boundary_values(grid)
 
 
 def bellman_sweep(model, cost, grid, boundary):
@@ -228,7 +234,7 @@ def bellman_sweep(model, cost, grid, boundary):
     if boundary == "extrapolate":
         rows, cols, data = hjb._extrapolation_rows(grid)
     else:
-        g[grid.boundary] = smooth_boundary_values(model, cost, grid)
+        g[grid.boundary] = smooth_boundary_values(grid)
         rows = cols = grid.boundary
         data = np.ones(len(rows))
     B = sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
@@ -264,8 +270,7 @@ def value_iteration(model, cost, grid, boundary):
 def test_value_iteration_matches_policy_iteration(name, points, boundary, solver):
     model, cost = (n_model(), nmodel_cost()) if name == "n_model" else tree3_model()
     grid = hw.default_grid(model, points, radius=4.0)
-    with patch.object(hjb, "_boundary_values_mc", smooth_boundary_values):
-        sol = hw.solve_hjb(model, cost, grid, boundary=boundary)
+    sol = hw.solve_hjb(model, cost, grid, boundary=boundary_data(grid, boundary))
     assert {step.solver for step in sol.report.history} == {solver}
     reference = value_iteration(model, cost, grid, boundary)
     assert np.abs(sol.value.values - reference).max() < 1e-7
@@ -334,10 +339,9 @@ def evaluation_system(model, cost, points, radius, boundary="extrapolate"):
         raise _Captured(A, rhs)
 
     grid = hw.default_grid(model, points, radius)
-    with patch.object(hjb, "_linear_solve", capture), \
-            patch.object(hjb, "_boundary_values_mc", smooth_boundary_values):
+    with patch.object(hjb, "_linear_solve", capture):
         try:
-            hw.solve_hjb(model, cost, grid, boundary=boundary)
+            hw.solve_hjb(model, cost, grid, boundary=boundary_data(grid, boundary))
         except _Captured as caught:
             return caught.args
     raise AssertionError("the solve ran no policy evaluation")
@@ -409,12 +413,30 @@ def test_tolerance_must_be_positive_and_finite(tol):
         hw.solve_hjb(model, cost, hw.Grid([-1.0], [1.0], [5]), boundary="extrapolate", tol=tol)
 
 
+@pytest.mark.parametrize("boundary", [
+    "static-mc",
+    "dirichlet",
+    np.ones(19),
+    np.ones(21),
+    np.ones((2, 10)),
+    np.r_[np.ones(19), np.nan],
+    np.r_[np.inf, np.ones(19)],
+])
+def test_boundary_is_extrapolate_or_one_finite_value_per_boundary_point(boundary):
+    model, cost = n_model(), nmodel_cost()
+    grid = hw.default_grid(model, 6)  # 20 boundary points
+    assert len(grid.boundary) == 20
+    with pytest.raises(ValueError, match='boundary must be "extrapolate" or an array of one '
+                                         r"finite value per point of grid.boundary \(20\)"):
+        hw.solve_hjb(model, cost, grid, boundary=boundary)
+
+
 def test_boundary_modes_agree_in_the_bulk():
     model, cost = single_class_fixture()
     grid = hw.Grid([-6.0], [6.0], [601])
     a = hw.solve_hjb(model, cost, grid, boundary="extrapolate")
-    b = hw.solve_hjb(model, cost, grid, boundary="static-mc",
-                     boundary_paths=4000, boundary_dt=2e-3, seed=3)
+    b = hw.solve_hjb(model, cost, grid,
+                     boundary=hjb._boundary_values_mc(model, cost, grid, 4000, dt=2e-3, seed=3))
     center = slice(250, 351)  # within one unit of the origin
     assert np.abs(a.value.values[center] - b.value.values[center]).max() < 5e-3
 
@@ -433,8 +455,8 @@ def test_static_mc_boundary_is_byte_identical_across_threads(monkeypatch):
     monkeypatch.setattr(hw.sde, "ensemble", spy)
     model, cost = n_model(), nmodel_cost()
     grid = hw.default_grid(model, 7)
-    values = [hw.solve_hjb(model, cost, grid, boundary="static-mc", boundary_paths=3,
-                           boundary_dt=1e-2, seed=5, threads=threads).value.values.tobytes()
+    values = [hw.solve_hjb(model, cost, grid, boundary=hjb._boundary_values_mc(
+        model, cost, grid, 3, dt=1e-2, seed=5, threads=threads)).value.values.tobytes()
               for threads in (1, 2)]
     assert runs == [(1, 3), (2, 3)]
     assert values[0] == values[1]

@@ -227,6 +227,17 @@ def test_mc_cost_rejects_bad_inputs():
     ("moment_curve", dict(times=[np.inf]), "times"),
     ("moment_curve", dict(times=[np.nan]), "times"),
     ("moment_curve", dict(times=[[1.0]]), "times"),
+    # a horizon below dt / 2 rounds to no Euler step
+    ("mc_cost", dict(horizon=4e-4, dt=1e-3), "horizon"),
+    ("mc_cost_batch", dict(horizon=4e-4, dt=1e-3), "horizon"),
+    ("mc_cost", dict(dt=1e6), "horizon"),
+    ("simulate_path", dict(dt=0.0), "dt"),
+    ("simulate_path", dict(dt=np.inf), "dt"),
+    ("simulate_path", dict(dt=np.nan), "dt"),
+    ("simulate_path", dict(horizon=-1.0), "horizon"),
+    ("simulate_path", dict(horizon=np.inf), "horizon"),
+    ("simulate_path", dict(horizon=np.nan), "horizon"),
+    ("simulate_path", dict(horizon=4e-4, dt=1e-3), "horizon"),
 ])
 def test_monte_carlo_estimators_reject_bad_steps_and_times(monkeypatch, call, kwargs, name):
     """A step, horizon or time list that spans no run raises ``ValueError``
@@ -238,11 +249,14 @@ def test_monte_carlo_estimators_reject_bad_steps_and_times(monkeypatch, call, kw
         raise AssertionError("an ensemble ran before the inputs were checked")
 
     monkeypatch.setattr(sde, "ensemble", no_run)
+    monkeypatch.setattr(sde, "_run_chunk", no_run)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         if call == "mc_cost":
             hw.mc_cost(model, cost, [0.0], policy, 10, **kwargs)
         elif call == "mc_cost_batch":
             hw.mc_cost_batch(model, cost, np.zeros((2, 1)), policy, 10, **kwargs)
+        elif call == "simulate_path":
+            hw.simulate_path(model, [0.0], policy, **{"horizon": 1.0, **kwargs})
         else:
             hw.moment_curve(model, policy, [0.0], 2.0, **{"times": [0.5], **kwargs}, n_paths=10)
 
