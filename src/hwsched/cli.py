@@ -102,7 +102,8 @@ def _static_edge(spec, model):
 
 def _parse_policy(spec, model, horizon, seed):
     """Policy spec: ``uniform``, ``static:i,j``, ``switch:PERIOD``, or a
-    policy-field file path."""
+    policy-field file path; ``horizon`` is the longest time the command
+    simulates, which a switching control covers with its slots."""
     if spec in (None, "uniform"):
         return sde.FixedControl(model_mod.ControlPoint.uniform(model.classes, model.stations))
     if spec.startswith("static:"):
@@ -111,6 +112,10 @@ def _parse_policy(spec, model, horizon, seed):
         period = _floats(spec[7:], 1, "switch period")[0]
         if period <= 0:
             raise CliError(f"switch period must be positive: {spec!r}")
+        # SwitchingControl holds ceil(horizon / period) + 2 slots
+        if horizon > period * (MAX_STEPS - 2):
+            raise CliError(f"switch period {period:g} gives more than {MAX_STEPS:g} slots "
+                           f"in {horizon:g}")
         return sde.SwitchingControl(model, period, horizon, seed=seed)
     if not Path(spec).exists():
         raise CliError(f"policy file not found: {spec}")
@@ -213,7 +218,8 @@ def cmd_simulate(args, out):
         if max(times) / args.dt > MAX_STEPS:
             raise CliError(f"--moments {max(times):g} spans more than {MAX_STEPS:g} "
                            f"--dt {args.dt:g} steps")
-    policy = _parse_policy(args.policy, model, args.horizon, args.seed)
+    span = max(args.horizon, max(times)) if args.moments else args.horizon
+    policy = _parse_policy(args.policy, model, span, args.seed)
     path = sde.simulate_path(model, x0, policy, args.horizon, args.dt, seed=args.seed)
     path.to_csv(out / "path.csv")
     doc = {"horizon": args.horizon, "dt": args.dt, "terminal": path.x[-1].tolist()}

@@ -16,20 +16,20 @@ column per path, the idle-side one when ``s < 0``, and scales it by ``|s|``.
 Only one of ``s^+`` and ``s^-`` is nonzero, so this adds the same floats as
 the two-term formula.  A table whose rows all have the bytes of its first
 (a fixed control, or a grid field that does not vary) is simulated as that
-one row, with no call to ``index``.  A policy with ``table = None`` or with
-only ``controls`` (a blending ``GridMarkov``, user policies) is simulated by
-the same loop, its rows of the step serving as the table.  Either way, below
-8 classes, the floats are those of ``drift_batch`` and
-``RunningCostSpec.evaluate`` on the same rows; from 8 classes on, numpy sums
-the coordinates in those two pairwise, and the results can differ from the
-loop's in the last bit.  Normal draws come in blocks of several steps, which
-a generator fills with the same values as one draw per step; each block is
-drawn into one preallocated buffer and scaled once into a class-major copy,
-so a step adds a contiguous slice to the class-major state.  When a chunk is
-stepped on its own (``ensemble`` at one worker thread, or with one chunk)
-and spans several blocks of enough rows, one producer thread draws the next
-block while the loop steps the current one, from the same generator and in
-the same order, so the draws are the same bytes.
+one row, with no call to ``index``.  A user policy with only ``controls``
+(or with ``table = None``) is simulated by the same loop, its rows of the
+step serving as the table.  Either way, below 8 classes, the floats are
+those of ``drift_batch`` and ``RunningCostSpec.evaluate`` on the same
+rows; from 8 classes on, numpy sums the coordinates in those two pairwise,
+and the results can differ from the loop's in the last bit.  Normal draws
+come in blocks of several steps, which a generator fills with the same
+values as one draw per step; each block is drawn into one preallocated
+buffer and scaled once into a class-major copy, so a step adds a
+contiguous slice to the class-major state.  When a chunk is stepped on its
+own (``ensemble`` at one worker thread, or with one chunk) and spans
+several blocks of enough rows, one producer thread draws the next block
+while the loop steps the current one, from the same generator and in the
+same order, so the draws are the same bytes.
 
 Reproducibility is counter-based: path chunks of a fixed layout draw from
 generators seeded ``(seed, stream + chunk_index)`` and are reduced in chunk
@@ -135,17 +135,12 @@ class GridMarkov:
     """Markov policy read off a grid-sampled policy field.
 
     Accepts any object with a ``Grid`` ``grid`` and ``u``, ``v`` attributes
-    (a ``PolicyField`` of the grid solver module).  The default lookup is
-    nearest-neighbor: the table is the field's rows and ``index`` the flat
-    index of the nearest grid point, with states outside the box clipped
-    onto it.  Controls at neighboring grid points may be distant vertices,
-    so blending them (``Grid.interpolate``) is only meaningful for costs
-    affine in the control and is opt-in; a blending policy has no table.
+    (a ``PolicyField`` of the grid solver module).  The table is the field's
+    rows and ``index`` the flat index of the nearest grid point, with states
+    outside the box clipped onto it.
     """
 
-    def __init__(self, field, blend: bool = False):
-        self.field = field
-        self.blend = blend
+    def __init__(self, field):
         g = field.grid
         # unused here; perfbench/layers.py reads them
         self._lows, self._spacing, self._counts = g.lows, g.spacing, g.counts
@@ -154,8 +149,7 @@ class GridMarkov:
         # (I, 1) columns: index works class-major, on the (I, B) transpose of X
         self._lows_i, self._spacing_i = g.lows[:, None], g.spacing[:, None]
         self._top_i = g.counts[:, None] - 1.0
-        self.table = None if blend else (field.u, field.v)
-        self._blend_rows = np.column_stack([field.u, field.v]) if blend else None
+        self.table = (field.u, field.v)
 
     def index(self, X: np.ndarray, t: float) -> np.ndarray:
         rel = X.T - self._lows_i
@@ -165,11 +159,7 @@ class GridMarkov:
         np.rint(rel, out=rel)
         return (self._strides @ rel).astype(np.intp)
 
-    def controls(self, X: np.ndarray, t: float):
-        if not self.blend:
-            return _table_controls(self, X, t)
-        uv = self.field.grid.interpolate(self._blend_rows, X)
-        return np.hsplit(uv, [self.field.u.shape[1]])
+    controls = _table_controls
 
 
 # -- path simulation ---------------------------------------------------------
@@ -293,9 +283,9 @@ def _run_chunk(model, x0s, policy, n_steps, dt, rng, cost=None, snap_idx=(), rec
     the state changes only in place), as numpy sums fewer than 8 classes,
     so below 8 classes the drifts and costs are the floats of
     ``drift_batch`` and ``RunningCostSpec.evaluate``; from 8 classes on
-    they can differ in the last bit.  A policy with only
-    ``controls`` (or ``table = None``) has its rows of the step as the
-    table, with row ``b`` for path ``b``.
+    they can differ in the last bit.  The built-in policies are all
+    tabulated; a user policy with only ``controls`` (or ``table = None``)
+    has its rows of the step as the table, with row ``b`` for path ``b``.
 
     Normals are drawn in blocks of ``K`` steps into one preallocated
     ``(K, B, I)`` buffer of at most ``_BLOCK`` values (``record`` stores

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hwsched as hw
-from hwsched import cli, hjb
+from hwsched import cli, hjb, sde
 from hwsched.cli import main
 from conftest import n_model, nmodel_cost, single_class_fixture, smooth_control_path, tree3_model
 
@@ -197,6 +197,64 @@ def test_det_run_and_nonidling(n_model_file, tmp_path):
     assert doc["pass"] and doc["max_idleness"] <= 1e-8
 
 
+@pytest.mark.parametrize("spec, point", [
+    ("uniform", hw.ControlPoint.uniform(2, 2)),
+    ("static:1,0", hw.ControlPoint.vertex(1, 0, 2, 2)),
+])
+def test_det_run_constant_controls(n_model_file, tmp_path, spec, point):
+    """``det-run`` under a constant control writes the trajectory that
+    ``integrate_det`` gives on the default driver ``1 + t``."""
+    out = tmp_path / "det"
+    assert run("det-run", "--model", n_model_file, "--policy", spec, "--horizon", "0.5",
+               "--dt", "0.01", "--out", out) == 0
+    t = 0.01 * np.arange(51)
+    want = hw.integrate_det(n_model(), 1.0 + t[:, None] * np.ones(2),
+                            hw.ControlPath.constant(point, 51, 0.01))
+    want.to_csv(tmp_path / "want.csv")
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_switch_policy_runs_match_the_api(n_model_file, tmp_path):
+    """``switch:0.25`` in ``simulate`` and ``evaluate-policy`` is the
+    ``SwitchingControl`` of the run's horizon and seed."""
+    model, cost = n_model(), nmodel_cost()
+    sim, ev = tmp_path / "sim", tmp_path / "ev"
+    assert run("simulate", "--model", n_model_file, "--policy", "switch:0.25", "--horizon", "1",
+               "--dt", "0.01", "--seed", "3", "--out", sim) == 0
+    path = hw.simulate_path(model, np.zeros(2), hw.SwitchingControl(model, 0.25, 1.0, seed=3),
+                            1.0, 0.01, seed=3)
+    path.to_csv(tmp_path / "want.csv")
+    assert (sim / "path.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert run("evaluate-policy", "--model", n_model_file, "--policy", "switch:0.25",
+               "--horizon", "2", "--dt", "0.01", "--paths", "50", "--seed", "3",
+               "--out", ev) == 0
+    est = hw.mc_cost(model, cost, np.zeros(2), hw.SwitchingControl(model, 0.25, 2.0, seed=3), 50,
+                     horizon=2.0, dt=0.01, seed=3)
+    doc = json.loads((ev / "cost.json").read_text())
+    assert (doc["mean"], doc["stderr"]) == (est.mean, est.stderr)
+
+
+def test_simulate_sizes_a_switch_policy_by_its_last_moment_time(n_model_file, tmp_path,
+                                                                monkeypatch):
+    """Moment times past ``--horizon`` run under the slots of their own
+    times, not under the last slot of the horizon."""
+    seen = []
+    curve = sde.moment_curve
+
+    def spy(model, policy, *args, **kwargs):
+        seen.append(policy)
+        return curve(model, policy, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "moment_curve", spy)
+    assert run("simulate", "--model", n_model_file, "--policy", "switch:0.5", "--horizon", "1",
+               "--dt", "0.01", "--moments", "1.6,3,8", "--paths", "10",
+               "--out", tmp_path / "m") == 0
+    (policy,) = seen
+    assert [policy.index(None, t) for t in (1.6, 3.0, 8.0)] == [3, 6, 16]
+    want = hw.SwitchingControl(n_model(), 0.5, 8.0, seed=0).table
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(policy.table, want))
+
+
 def test_counterexample_exit_codes(tmp_path):
     out = tmp_path / "ce"
     assert run("counterexample", "--k", "10", "--horizon", "2", "--out", out) == 0
@@ -321,6 +379,12 @@ def _field_files(model_file, tmp_path):
     ("simulate", "--moments", "1e5", "--horizon", "0.1"),
     ("solve-hjb", "--points", "1001"),
     ("solve-hjb", "--points", "3000000", "--boundary", "extrapolate"),
+    ("simulate", "--policy", "switch:1e-9", "--horizon", "1"),
+    ("simulate", "--policy", "switch:1e-300", "--horizon", "1"),
+    ("evaluate-policy", "--policy", "switch:1e-9", "--horizon", "1", "--paths", "2"),
+    ("prelimit", "--rule", "greedy", "--reps", "2"),
+    ("compare", "--rule", "greedy", "--reps", "2", "--paths", "2"),
+    ("det-run", "--policy", "switch:0.5"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -388,6 +452,19 @@ def test_prelimit_and_compare(single_file, tmp_path):
                "--out", cmp_out) == 0
     doc = json.loads((cmp_out / "compare.json").read_text())
     assert doc["pass"]
+
+
+def test_prelimit_and_compare_track_rule(single_file, tmp_path):
+    pre = tmp_path / "pre"
+    assert run("prelimit", "--model", single_file, "--rule", "track", "--n", "25", "--reps", "40",
+               "--horizon", "0.5", "--out", pre) == 0
+    rows = (pre / "prelimit.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 40 * 3
+
+    cmp_out = tmp_path / "cmp"
+    assert run("compare", "--model", single_file, "--rule", "track", "--n", "64", "--reps", "300",
+               "--paths", "2000", "--dt", "0.005", "--horizon", "0.5", "--out", cmp_out) == 0
+    assert json.loads((cmp_out / "compare.json").read_text())["pass"]
 
 
 def test_config_file_defaults(tmp_path):

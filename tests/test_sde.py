@@ -302,7 +302,7 @@ def test_strong_order_under_increment_aggregation():
     assert abs(fine - coarse) < 30 * dt
 
 
-def test_grid_markov_nearest_and_blend():
+def test_grid_markov_nearest():
     grid = hw.Grid([-1.0], [1.0], [3])
     u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     v = np.array([[1.0], [1.0], [1.0]])
@@ -310,10 +310,6 @@ def test_grid_markov_nearest_and_blend():
     nearest = hw.GridMarkov(field)
     U, V = nearest.controls(np.array([[-0.9], [0.2], [5.0]]), 0.0)
     np.testing.assert_allclose(U, [[1, 0], [0, 1], [0, 1]])
-    blended = hw.GridMarkov(field, blend=True)
-    U2, _ = blended.controls(np.array([[-0.5]]), 0.0)
-    np.testing.assert_allclose(U2, [[0.5, 0.5]])
-    np.testing.assert_allclose(U2.sum(axis=1), 1.0)
 
 
 def test_switching_control_deterministic():
@@ -373,6 +369,18 @@ class SignPriority:
         return U, V
 
 
+class DenseRows:
+    """A policy with only ``controls`` that returns dense rows: the vertex
+    rows of a policy field blended multilinearly between grid points."""
+
+    def __init__(self, field):
+        self.grid, self.I = field.grid, field.u.shape[1]
+        self.rows = np.column_stack([field.u, field.v])
+
+    def controls(self, X, t):
+        return np.hsplit(self.grid.interpolate(self.rows, X), [self.I])
+
+
 def _big_tree():
     """A random tree of at least 8 classes, where numpy sums the coordinates
     pairwise, with a random linear cost."""
@@ -408,13 +416,15 @@ def _policy(kind, model, rng):
     grid = hw.Grid([-2.0] * I, [2.0] * I, counts)
     u = np.eye(I)[rng.integers(0, I, grid.size)]
     v = np.eye(J)[rng.integers(0, J, grid.size)]
-    blend = kind == "blend"
-    return hw.GridMarkov(hw.PolicyField(grid=grid, u=u, v=v), blend=blend), not blend
+    field = hw.PolicyField(grid=grid, u=u, v=v)
+    if kind == "dense":
+        return DenseRows(field), False
+    return hw.GridMarkov(field), True
 
 
 @settings(max_examples=120, deadline=None)
 @given(model_name=st.sampled_from(["n_model", "tree3", "single", "big"]),
-       kind=st.sampled_from(["uniform", "static", "switch", "grid", "blend", "duck"]),
+       kind=st.sampled_from(["uniform", "static", "switch", "grid", "dense", "duck"]),
        convex=st.booleans(), rows=st.integers(1, 40), n_steps=st.integers(0, 25),
        seed=st.integers(0, 2**16))
 def test_run_chunk_matches_reference_euler(model_name, kind, convex, rows, n_steps, seed):
@@ -541,10 +551,10 @@ def test_monte_carlo_runs_leave_scipy_integrate_special_optimize_unloaded(tmp_pa
 def _block_case(kind, B):
     model, cost = n_model(), nmodel_cost()
     rng = np.random.default_rng(B)
-    if kind in ("grid", "blend"):
-        # the blend's dense rows take the convex cost's |s|^p, |s|^q weights
+    if kind in ("grid", "dense"):
+        # dense rows take the convex cost's |s|^p, |s|^q weights
         policy = _policy(kind, model, rng)[0]
-        if kind == "blend":
+        if kind == "dense":
             cost = hw.RunningCostSpec(c=cost.c, d=cost.d, p=2.0, q=1.5, kappa=0.4, constant=0.1)
     elif kind == "switch":
         policy = hw.SwitchingControl(model, 0.13, 1.0, seed=1)
@@ -553,7 +563,7 @@ def _block_case(kind, B):
     return model, cost, policy, rng.uniform(-3.0, 3.0, (B, 2))
 
 
-@pytest.mark.parametrize("kind", ["static", "switch", "grid", "blend"])
+@pytest.mark.parametrize("kind", ["static", "switch", "grid", "dense"])
 @pytest.mark.parametrize("B", [1, 7, 300])
 def test_run_chunk_does_not_depend_on_the_block_size(monkeypatch, kind, B):
     model, cost, policy, x0s = _block_case(kind, B)
@@ -661,6 +671,31 @@ def test_run_chunk_looks_up_a_state_dependent_hjb_policy():
     x0s = np.random.default_rng(7).uniform(-3.0, 3.0, (200, 2))
     _, calls = _run_spied(model, cost, hw.GridMarkov(field), x0s, 30, 1e-2, 8)
     assert calls == 30
+
+
+def test_hjb_policy_beats_every_static_priority_on_shared_noise():
+    # n_model_abandon with c = (1, 2) and d = (1, 1): the HJB field switches
+    # both the queued class and the idle station, and the switch pays. Every
+    # policy runs on one seed and one path layout, so per-path cost
+    # differences are paired.
+    model_file = Path(__file__).resolve().parents[1] / "models" / "n_model_switch.json"
+    model, cost = hw.load_model(model_file)
+    sol = hw.solve_hjb(model, cost, hw.default_grid(model, 41, 4.5), boundary="extrapolate")
+    field = hw.extract_policy(sol.value, model, cost)
+    assert len(np.unique(field.u, axis=0)) > 1 and len(np.unique(field.v, axis=0)) > 1
+    x0s = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 2.0], [2.0, -2.0]])
+    n_paths, dt = 2000, 4e-3
+
+    def per_path_costs(policy):
+        parts = sde.ensemble(model, x0s, policy, n_paths, round(12.0 / model.gamma / dt), dt, 7,
+                             lambda costs, snaps, size: costs.reshape(len(x0s), size), cost=cost)
+        return np.concatenate(parts, axis=1)
+
+    hjb_costs = per_path_costs(hw.GridMarkov(field))
+    for i, j in np.ndindex(model.classes, model.stations):
+        diff = per_path_costs(hw.StaticPriority.for_model(model, i, j)) - hjb_costs
+        z = diff.mean(axis=1) / (diff.std(axis=1, ddof=1) / np.sqrt(n_paths))
+        assert (z > 5.0).all(), ((i, j), z)
 
 
 def _spy_producers(monkeypatch):
