@@ -179,6 +179,13 @@ MAX_STEPS = 10**7
 # the most points a solve-hjb grid may have: a solve takes about 1.6 kB a
 # point (n_model, 121^2 to 601^2), so that many take about 1.6 GB
 MAX_GRID_POINTS = 10**6
+# the most pre-limit replications a run may take: each holds a generator and
+# a block of uniforms, 5.3 kB (n_model, R = 2000 to 4000), so about 530 MB
+MAX_REPS = 10**5
+# the most samples, replications or paths times --samples, prelimit or compare
+# may store: 64 B a replication sample and 48 B a path sample (n_model, R 500
+# to 1000, 2000 to 4000 paths, 100 to 1000 samples), so about 640 MB
+MAX_SAMPLES = 10**7
 
 
 def _steps(horizon, dt):
@@ -341,6 +348,7 @@ def cmd_nonidling_check(args, out):
 
 
 def cmd_counterexample(args, out):
+    _steps(args.horizon, args.dt)
     rep = detsys.counterexample_flow(args.k, horizon=args.horizon, dt=args.dt)
     data = np.column_stack([rep.times, rep.x, rep.psi.reshape(len(rep.times), -1)])
     model_mod.write_csv(out / "counterexample.csv", data, "t,x0,x1,psi0_0,psi0_1,psi1_0,psi1_1")
@@ -381,6 +389,12 @@ def cmd_integral_residual(args, out):
 
 
 def _prelimit_samples(args, model):
+    if args.reps > MAX_REPS:
+        raise CliError(f"--reps {args.reps} is more than {MAX_REPS:g}")
+    count = max(args.reps, getattr(args, "paths", 0))  # prelimit has no --paths
+    if count * args.samples > MAX_SAMPLES:
+        raise CliError(f"{count} replications or paths of {args.samples} samples store more "
+                       f"than {MAX_SAMPLES:g} samples")
     scaling = ctmc.ScalingSpec.centered(model, args.n)
     if args.rule.startswith("static:"):
         rule = ctmc.GreedyPriority(model, scaling, *_static_edge(args.rule, model))
@@ -501,7 +515,7 @@ def _build_parser():
     # no abbreviated flags: a config key names an option by its full flag
     parser = _Parser(prog="hwsched", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    # each command's parser by name, for reading its options' types
+    # each command's parser by name, for tests that inspect its options
     parser.subcommands = sub.choices
 
     def add(name, model=True, dt=False, threads=False, **kwargs):
@@ -587,22 +601,9 @@ def _build_parser():
     return parser
 
 
-def _config_value(action, key, value):
-    """A config value as its option's flag would give it: the option's
-    argparse ``type`` applied to the value's text, and one of its ``choices``."""
-    if value is None and action.default is None:
-        return None
-    text = str(value)
-    try:
-        value = action.type(text) if action.type else text
-    except argparse.ArgumentTypeError as exc:
-        raise CliError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise CliError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
-    return value
-
-
 def _merge_config(parser, args, argv):
+    """``argv`` parsed with each config key passed as ``--key=value`` ahead of
+    it, so that the option's ``type`` reads the value and a flag wins."""
     if not args.config:
         return args
     path = Path(args.config)
@@ -611,19 +612,17 @@ def _merge_config(parser, args, argv):
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise CliError(f"cannot parse config: {exc}") from exc
+        raise CliError(f"cannot parse config {args.config}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliError("config must be a JSON object")
-    actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
-    # flags given explicitly, as ``--flag value`` or ``--flag=value``, beat the config
-    given = {a.split("=", 1)[0] for a in argv}
-    for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr not in actions or attr == "help":
-            raise CliError(f"unknown config key {key!r}")
-        if given.isdisjoint(actions[attr].option_strings):
-            setattr(args, attr, _config_value(actions[attr], key, value))
-    return args
+        raise CliError(f"config {args.config} must be a JSON object")
+    nulls = [key for key, value in doc.items() if value is None]
+    if nulls:
+        raise CliError(f"config {args.config}: null values for {nulls}")
+    try:
+        return parser.parse_args([argv[0], *(f"--{key.replace('_', '-')}={value}"
+                                             for key, value in doc.items()), *argv[1:]])
+    except CliError as exc:
+        raise CliError(f"config {args.config}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -108,8 +108,9 @@ def default_priority_edge(model: TreeModel) -> tuple[int, int]:
 class SwitchingControl:
     """Deterministic time-dependent control hopping between vertex pairs.
 
-    Switch targets are drawn once from a seeded generator, so the control
-    is a fixed function of time; exercises non-Markov admissible behavior.
+    Switch targets are drawn once from a seeded generator, slot by slot, so
+    the control is a fixed function of time whatever horizon it is sized
+    for; exercises non-Markov admissible behavior.
     The table holds one vertex pair per time slot of length ``period``.
     """
 
@@ -119,11 +120,9 @@ class SwitchingControl:
         rng = np.random.default_rng([seed, 2718])
         count = int(np.ceil(horizon / period)) + 2
         self.period = period
-        us = np.zeros((count, model.classes))
-        vs = np.zeros((count, model.stations))
-        us[np.arange(count), rng.integers(0, model.classes, size=count)] = 1.0
-        vs[np.arange(count), rng.integers(0, model.stations, size=count)] = 1.0
-        self.table = (us, vs)
+        # one (class, station) row per slot, so a longer horizon appends slots
+        pairs = rng.integers(0, [model.classes, model.stations], size=(count, 2))
+        self.table = (np.eye(model.classes)[pairs[:, 0]], np.eye(model.stations)[pairs[:, 1]])
 
     def index(self, X: np.ndarray, t: float) -> int:
         return min(int(t / self.period), len(self.table[0]) - 1)

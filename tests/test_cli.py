@@ -385,6 +385,14 @@ def _field_files(model_file, tmp_path):
     ("prelimit", "--rule", "greedy", "--reps", "2"),
     ("compare", "--rule", "greedy", "--reps", "2", "--paths", "2"),
     ("det-run", "--policy", "switch:0.5"),
+    ("counterexample", "--horizon", "1e-4"),
+    ("counterexample", "--horizon", "1e12"),
+    ("prelimit", "--samples", "100000000000000000000"),
+    ("prelimit", "--reps", "100000000000000000000"),
+    ("prelimit", "--reps", "100001"),
+    ("compare", "--reps", "100000000000000000000"),
+    ("compare", "--paths", "100000000000000000000"),
+    ("compare", "--paths", "3400000"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -400,6 +408,56 @@ def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     model = [] if argv[0] == "counterexample" or "--model" in argv else ["--model", n_model_file]
     assert run(*argv, *model, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve-hjb", None),
+    ("solve-hjb", '{"tol": 1e-6'),
+    ("solve-hjb", "[1, 2]"),
+    ("solve-hjb", '{"boundary": "foo"}'),
+    ("solve-hjb", '{"no_such_option": 1}'),
+    ("validate", '{"threads": 2}'),
+    ("simulate", '{"x0": null}'),
+    ("integral-residual", '{"tol": null}'),
+])
+def test_config_errors_name_the_file(tmp_path, capsys, command, text):
+    """A missing or malformed config, a null value, a value its option
+    rejects and a key no option of the command has all exit 2 naming the file."""
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("validate",), "--model is required"),
+    (("simulate", "--x0", "1,2,3", "--model", "NM"), "--x0 needs 2 comma-separated numbers"),
+    (("evaluate-policy", "--policy", "NOPE", "--model", "NM"), "policy file not found"),
+    (("extract-policy", "--model", "NM"), "--value must point to a value field file"),
+    (("solve-hjb", "--model", "NO_COST"), "a cost spec is required"),
+    (("evaluate-policy", "--model", "LONG_COST"), "queue weights need 2 entries, got 3"),
+])
+def test_bad_input_says_what_is_wrong(n_model_file, tmp_path, capsys, argv, message):
+    files = {"NM": n_model_file, "NOPE": tmp_path / "nope.field",
+             "NO_COST": tmp_path / "no_cost.json", "LONG_COST": tmp_path / "long_cost.json"}
+    hw.save_model(files["NO_COST"], n_model())
+    hw.save_model(files["LONG_COST"], n_model(), hw.RunningCostSpec(c=[3.0, 1.0, 1.0], d=[1.0, 2.0]))
+    argv = [files.get(a, a) for a in argv]
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_field_of_another_model_warns(n_model_file, tmp_path, capsys):
+    files = _field_files(n_model_file, tmp_path)
+    other = tmp_path / "other.json"
+    hw.save_model(other, n_model(mu=(1.0, 2.0, 4.0)), nmodel_cost())
+    assert run("evaluate-policy", "--model", other, "--policy", files["NM_POLICY"],
+               "--paths", "2", "--horizon", "0.1", "--out", tmp_path / "o") == 0
+    assert "was built for a different model" in capsys.readouterr().err
+    assert run("evaluate-policy", "--model", n_model_file, "--policy", files["NM_POLICY"],
+               "--paths", "2", "--horizon", "0.1", "--out", tmp_path / "o") == 0
+    assert "different model" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("lambda", [5.0, 5.0]), ("gamma", -1.0),

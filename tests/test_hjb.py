@@ -495,6 +495,33 @@ def test_vertex_optimality_in_affine_case():
     np.testing.assert_array_equal(policy.v.sum(axis=1), 1.0)
 
 
+def test_convex_cost_policy_lies_on_the_simplices_and_beats_the_vertices():
+    """With p = q = 2 the extracted rows come from the descent refinement:
+    they lie on the simplices, some off the vertices, and at interior points
+    they attain a Hamiltonian no larger than the best vertex pair's."""
+    model = n_model()
+    cost = hw.RunningCostSpec(c=[3.0, 1.0], d=[1.0, 2.0], p=2.0, q=2.0)
+    sol = hw.solve_hjb(model, cost, hw.default_grid(model, 21), boundary="extrapolate")
+    policy = hw.extract_policy(sol.value, model, cost)
+    for rows in (policy.u, policy.v):
+        assert (rows >= 0.0).all()
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert not np.isin(policy.u, (0.0, 1.0)).all()
+    grid = sol.value.grid
+    X = grid.points
+    P = np.stack(np.gradient(sol.value.reshape(), *grid.spacing), axis=-1).reshape(grid.size, -1)
+
+    def attained(U, V):
+        return (hw.drift_batch(model, X, U, V) * P).sum(axis=1) + cost.evaluate(X, U, V)
+
+    eye = np.eye(2)
+    best = np.min([attained(eye[[i] * grid.size], eye[[j] * grid.size])
+                   for i in range(2) for j in range(2)], axis=0)
+    interior = ((grid.coords > 0) & (grid.coords < grid.counts - 1)).all(axis=1)
+    got = attained(policy.u, policy.v)[interior]
+    assert (got <= best[interior] + 1e-9 * (1.0 + np.abs(best[interior]))).all()
+
+
 def test_policy_symmetric_under_class_swap():
     model, cost = two_class_one_station()
     grid = hw.Grid([-3.0, -3.0], [3.0, 3.0], [31, 31])

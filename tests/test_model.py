@@ -147,6 +147,14 @@ def test_classify_single_edge():
     assert {"i", "ii"} <= cases
 
 
+def test_classify_station_uniform_rates_give_case_i():
+    # both classes serve at rate 2 at station 0; class 1 serves at 3 at station 1
+    uniform = n_model(mu=(2.0, 2.0, 3.0), theta=(0.0, 0.0))
+    assert "i" in hw.classify_case(uniform, nmodel_cost())
+    assert "i" not in hw.classify_case(n_model(theta=(0.0, 0.0)), nmodel_cost())
+    assert "i" not in hw.classify_case(n_model(mu=(2.0, 2.0, 3.0)), nmodel_cost())
+
+
 def test_classify_n_model_exactly_case_ii():
     assert hw.classify_case(n_model(), nmodel_cost()) == frozenset({"ii"})
 

@@ -321,10 +321,22 @@ def test_switching_control_deterministic():
         np.testing.assert_array_equal(a.controls(X, t)[0], b.controls(X, t)[0])
 
 
+def test_switching_slots_do_not_depend_on_the_horizon():
+    """A shorter horizon's table is the first rows of a longer one's."""
+    for model in (n_model(), tree3_model()[0]):
+        for seed in range(6):
+            short = hw.SwitchingControl(model, 0.5, 1.0, seed=seed).table
+            long = hw.SwitchingControl(model, 0.5, 8.0, seed=seed).table
+            for a, b in zip(short, long):
+                np.testing.assert_array_equal(a, b[:len(a)])
+
+
 def test_default_priority_edge_prefers_dominating_rate():
     model = n_model(theta=(1.5, 0.5))  # class 0 abandonment beats its only rate
     assert sde.default_priority_edge(model) == (1, 0)
     assert sde.default_priority_edge(n_model()) == (0, 0)
+    # every class abandons faster than any of its edges serves it
+    assert sde.default_priority_edge(n_model(theta=(5.0, 5.0))) == (0, 0)
 
 
 def test_path_csv(tmp_path):
