@@ -135,6 +135,11 @@ def _load_field(path, kind, model):
     if kind == "policy" and (field.u.shape[1], field.v.shape[1]) != (model.classes, model.stations):
         raise CliError(f"{path} has {field.u.shape[1]} u and {field.v.shape[1]} v columns; "
                        f"the model has {model.classes} classes and {model.stations} stations")
+    if kind == "policy":
+        try:
+            model_mod.check_simplex(field.u, field.v)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
     if header.get("model_hash") != model_mod.model_hash(model):
         print(f"warning: {path} was built for a different model", file=sys.stderr)
     return field

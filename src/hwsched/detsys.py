@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import lift_batch, lift_matrix
-from .model import ControlPoint, TreeModel, write_csv
+from .model import ControlPoint, TreeModel, check_simplex, write_csv
+from .sde import _n_steps
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,9 @@ class ControlPath:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if u.ndim != 2 or v.ndim != 2 or len(u) != len(v):
-            raise ValueError("u and v must be 2-D with matching lengths")
-        if (u < -1e-12).any() or (v < -1e-12).any():
-            raise ValueError("control weights must be nonnegative")
-        if np.abs(u.sum(axis=1) - 1).max() > 1e-9 or np.abs(v.sum(axis=1) - 1).max() > 1e-9:
-            raise ValueError("control weights must sum to one at every sample")
+        if u.ndim != 2 or v.ndim != 2 or len(u) != len(v) or not len(u):
+            raise ValueError("u and v must be 2-D with matching lengths of at least one")
+        check_simplex(u, v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "dt", float(self.dt))
@@ -148,17 +146,13 @@ def nonidling_hypothesis(model: TreeModel) -> list[str]:
     """Reasons the no-idleness guarantee does not apply (empty = applies).
 
     The guarantee needs tree diameter at most 3 and a hub station adjacent
-    to every class whose service rates dominate the abandonment rates.
+    to every class whose service rates dominate the abandonment rates: a
+    column of ``TreeModel.dominated`` that is all true.
     """
     reasons = []
     if model.diameter is None or model.diameter > 3:
         reasons.append("tree diameter exceeds 3")
-    mask = model.edge_mask
-    hub_ok = any(
-        mask[:, j].all() and (model.theta <= model.mu[:, j]).all()
-        for j in range(model.stations)
-    )
-    if not hub_ok:
+    if not model.dominated.all(axis=0).any():
         reasons.append(
             "no station is adjacent to every class with service rates dominating abandonment"
         )
@@ -217,9 +211,9 @@ def counterexample_flow(k: float, horizon: float = 5.0, dt: float = 1e-3) -> Cou
     All residuals are computed with exact antiderivatives, so they reflect
     the algebraic identities rather than quadrature error.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = int(round(horizon / dt))
+    if not (0.0 <= k < np.inf):
+        raise ValueError(f"k must be nonnegative and finite, got {k!r}")
+    n = _n_steps(horizon, dt)
     t = dt * np.arange(n + 1)
     decay = np.exp(-2.0 * t)
 

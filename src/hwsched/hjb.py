@@ -63,8 +63,8 @@ class Grid:
             raise ValueError("lows, highs, counts must be 1-D and matching")
         if (counts < 3).any():
             raise ValueError("need at least 3 points per dimension")
-        if (highs <= lows).any():
-            raise ValueError("empty box")
+        if not ((lows < highs) & np.isfinite(highs - lows)).all():
+            raise ValueError("box must be finite and nonempty: lows below highs")
         if not (lows.sum() < 0.0 < highs.sum()):
             raise ValueError("box must contain the zero-imbalance hyperplane")
         object.__setattr__(self, "lows", lows)

@@ -119,6 +119,20 @@ class TreeModel:
         return _frozen(mask)
 
     @cached_property
+    def dominated(self) -> np.ndarray:
+        """Edges whose service rate is at least the class abandonment rate."""
+        return _frozen(self.edge_mask & (self.theta[:, None] <= self.mu))
+
+    def uniform_rates(self, axis: int) -> np.ndarray | None:
+        """The one edge rate of each station (``axis=0``) or each class
+        (``axis=1``) when all of its edges share it, else None.  A node
+        without edges has no rate to disagree with: its entry is NaN."""
+        lo = np.where(self.edge_mask, self.mu, np.inf).min(axis)
+        hi = np.where(self.edge_mask, self.mu, -np.inf).max(axis)
+        # lo < hi where two edges differ, lo > hi (inf > -inf) at a node without edges
+        return np.where(lo > hi, np.nan, lo) if (lo >= hi).all() else None
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor node ids, per node id (classes then stations)."""
         nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -183,6 +197,15 @@ class TreeModel:
         return tuple(order)
 
 
+def check_simplex(*weights) -> None:
+    """Raise ValueError unless every row (last axis) of every array is a
+    probability vector: entries at least -1e-12 and a sum within 1e-9 of
+    one.  NaN fails both tests."""
+    for w in weights:
+        if not ((w >= -1e-12).all() and (np.abs(w.sum(axis=-1) - 1.0) <= 1e-9).all()):
+            raise ValueError("control weights must be nonnegative and sum to one")
+
+
 @dataclass(frozen=True)
 class ControlPoint:
     """A point of the control space: weights over classes and stations.
@@ -199,10 +222,7 @@ class ControlPoint:
         v = np.asarray(self.v, dtype=float)
         if u.ndim != 1 or v.ndim != 1:
             raise ValueError("u and v must be vectors")
-        if (u < -1e-12).any() or (v < -1e-12).any():
-            raise ValueError("control weights must be nonnegative")
-        if abs(u.sum() - 1.0) > 1e-9 or abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError("control weights must sum to one")
+        check_simplex(u, v)
         object.__setattr__(self, "u", _frozen(np.clip(u, 0.0, None)))
         object.__setattr__(self, "v", _frozen(np.clip(v, 0.0, None)))
 
@@ -430,40 +450,24 @@ def classify_case(model: TreeModel, cost: RunningCostSpec) -> frozenset[str]:
 
     Returns a subset of ``{"i", "ii", "iii", "iv"}``:
 
-    * ``i``   - edge rates depend only on the class or only on the station,
-      and there is no abandonment;
+    * ``i``   - edge rates depend only on the class or only on the station
+      (``TreeModel.uniform_rates`` on one axis; a node without edges agrees
+      with any rate), and there is no abandonment;
     * ``ii``  - tree diameter at most 3 and every edge dominates its class
-      abandonment rate;
+      abandonment rate (is in ``TreeModel.dominated``, ties included);
     * ``iii`` - the cost carries a norm term whose exponent dominates the
       queue and idle exponents (so the cost grows like its polynomial bound
-      from below) and some edge dominates its class abandonment rate;
+      from below) and some edge is in ``TreeModel.dominated``;
     * ``iv``  - the cost is bounded.
     """
     cases = set()
-    mask = model.edge_mask
-    mu = model.mu
-
-    def station_uniform():
-        return all(
-            len({mu[i, j] for i in range(model.classes) if mask[i, j]}) <= 1
-            for j in range(model.stations)
-        )
-
-    def class_uniform():
-        return all(
-            len({mu[i, j] for j in range(model.stations) if mask[i, j]}) <= 1
-            for i in range(model.classes)
-        )
-
-    no_abandonment = not model.theta.any()
-    if no_abandonment and (class_uniform() or station_uniform()):
+    if not model.theta.any() and any(model.uniform_rates(a) is not None for a in (0, 1)):
         cases.add("i")
 
-    dominated = model.theta[:, None] <= mu
-    if model.diameter is not None and model.diameter <= 3 and dominated[mask].all():
+    if model.diameter is not None and model.diameter <= 3 and model.dominated[model.edge_mask].all():
         cases.add("ii")
 
-    if cost.kappa > 0 and cost.m >= max(cost.p, cost.q) and dominated[mask].any():
+    if cost.kappa > 0 and cost.m >= max(cost.p, cost.q) and model.dominated.any():
         cases.add("iii")
 
     if cost.is_bounded:

@@ -28,8 +28,8 @@ def integrate(values: np.ndarray, dt: float) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape[-1] < 2:
         raise ValueError("need at least two samples")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (0.0 < dt < np.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     steps = 0.5 * dt * (values[..., 1:] + values[..., :-1])
     out = np.zeros_like(values)
     np.cumsum(steps, axis=-1, out=out[..., 1:])
@@ -64,8 +64,10 @@ def invert_rate(mu: float, values: np.ndarray, dt: float) -> np.ndarray:
     # imported here: scipy.signal takes most of a second to import
     from scipy.signal import lfilter
 
-    if mu <= 0:
-        raise ValueError("rate must be positive")
+    if not (0.0 < mu < np.inf):
+        raise ValueError(f"rate must be positive and finite, got {mu!r}")
+    if not (0.0 < dt < np.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     w = np.asarray(values, dtype=float)
     if w.shape[-1] < 2:
         raise ValueError("need at least two samples")
@@ -193,21 +195,25 @@ def build_sequences(model: TreeModel, comb: TreeCombinatorics | None = None) -> 
     return OperatorSequences(driver_rates, queue_rates, idle_rates, root=comb.root)
 
 
+def _uniform_rates(model: TreeModel, axis: int, kind: str) -> list[float]:
+    """``model.uniform_rates(axis)`` for a reduction: no abandonment, and
+    every node of the axis has edges, all at one rate."""
+    if model.theta.any():
+        raise ValueError("reduction requires zero abandonment rates")
+    rates = model.uniform_rates(axis)
+    if rates is None or np.isnan(rates).any():
+        raise ValueError(f"edge rates are not {kind}-uniform")
+    return rates.tolist()
+
+
 def station_uniform_sequences(model: TreeModel) -> OperatorSequences:
     """Reduced identity when edge rates depend only on the station.
 
-    Requires zero abandonment; the drivers and queues enter bare and each
-    idleness path carries its single station rate.
+    Requires zero abandonment and ``model.uniform_rates(0)`` with an edge at
+    every station; the drivers and queues enter bare and each idleness path
+    carries its single station rate.
     """
-    if model.theta.any():
-        raise ValueError("reduction requires zero abandonment rates")
-    mask = model.edge_mask
-    rates = []
-    for j in range(model.stations):
-        vals = {float(model.mu[i, j]) for i in range(model.classes) if mask[i, j]}
-        if len(vals) != 1:
-            raise ValueError("edge rates are not station-uniform")
-        rates.append(vals.pop())
+    rates = _uniform_rates(model, 0, "station")
     empty = tuple(() for _ in range(model.classes))
     return OperatorSequences(empty, empty, tuple((a,) for a in rates), root=None)
 
@@ -215,23 +221,13 @@ def station_uniform_sequences(model: TreeModel) -> OperatorSequences:
 def class_uniform_sequences(model: TreeModel) -> OperatorSequences:
     """Reduced identity when edge rates depend only on the class.
 
-    Requires zero abandonment; class ``i`` carries the rates of all other
-    classes and every idleness path carries the full class-rate multiset.
+    Requires zero abandonment and ``model.uniform_rates(1)`` with an edge at
+    every class; class ``i`` carries the rates of all other classes and every
+    idleness path carries the full class-rate multiset.
     """
-    if model.theta.any():
-        raise ValueError("reduction requires zero abandonment rates")
-    mask = model.edge_mask
-    rates = []
-    for i in range(model.classes):
-        vals = {float(model.mu[i, j]) for j in range(model.stations) if mask[i, j]}
-        if len(vals) != 1:
-            raise ValueError("edge rates are not class-uniform")
-        rates.append(vals.pop())
-    driver = tuple(
-        tuple(sorted(rates[:i] + rates[i + 1 :])) for i in range(model.classes)
-    )
-    all_rates = tuple(sorted(rates))
-    return OperatorSequences(driver, driver, tuple(all_rates for _ in range(model.stations)), root=None)
+    rates = _uniform_rates(model, 1, "class")
+    driver = tuple(tuple(sorted(rates[:i] + rates[i + 1 :])) for i in range(model.classes))
+    return OperatorSequences(driver, driver, (tuple(sorted(rates)),) * model.stations, root=None)
 
 
 def _check_bundle(values, count, n, name):

@@ -94,15 +94,13 @@ class StaticPriority(FixedControl):
 
 
 def default_priority_edge(model: TreeModel) -> tuple[int, int]:
-    """First edge whose service rate dominates the class abandonment rate.
+    """First edge of ``TreeModel.dominated``: its service rate is at least
+    the class abandonment rate.
 
     Such an edge makes the static-priority policy keep the state on a
     polynomial leash; falls back to the first edge when none qualifies.
     """
-    for i, j in model.edges:
-        if model.mu[i, j] >= model.theta[i]:
-            return i, j
-    return model.edges[0]
+    return next((e for e in model.edges if model.dominated[e]), model.edges[0])
 
 
 class SwitchingControl:
@@ -434,7 +432,7 @@ def ensemble(model: TreeModel, x0s, policy, n_paths: int, n_steps: int, dt: floa
     are already busy, and the chunks draw inline.
     """
     snap_idx = [int(k) for k in snap_idx]
-    if n_paths < 1 or dt <= 0 or n_steps < 0:
+    if n_paths < 1 or not (0.0 < dt < np.inf) or n_steps < 0:
         raise ValueError("n_paths and dt must be positive and n_steps nonnegative")
     x0s = np.asarray(x0s, dtype=float)
     size = max(1, CHUNK // len(x0s))

@@ -410,6 +410,22 @@ def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("u_row", [(2.0, -1.0), (np.nan, 1.0)])
+@pytest.mark.parametrize("command", ["evaluate-policy", "simulate"])
+def test_policy_file_off_the_simplex_exits_two(n_model_file, tmp_path, capsys, command, u_row):
+    """A policy file whose rows are not probability vectors (off the simplex,
+    or NaN) is rejected when it is read, naming the file."""
+    model, _ = hw.load_model(n_model_file)
+    grid = hw.default_grid(model, 5)
+    path = tmp_path / "bad.field"
+    hw.save_field(hjb.PolicyField(grid, np.tile(u_row, (grid.size, 1)),
+                                  np.full((grid.size, 2), 0.5)), model, path)
+    assert run(command, "--model", n_model_file, "--policy", path, "--paths", "50",
+               "--horizon", "1", "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 @pytest.mark.parametrize("command, text", [
     ("solve-hjb", None),
     ("solve-hjb", '{"tol": 1e-6'),

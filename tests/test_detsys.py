@@ -155,6 +155,28 @@ def test_counterexample_scales_with_k():
     assert rep.max_residual <= 1e-8
 
 
+@pytest.mark.parametrize("horizon, dt", [(1e-4, 1e-3), (1.0, 0.0), (1.0, -1.0),
+                                         (1.0, np.nan), (np.nan, 1e-3)])
+def test_counterexample_rejects_bad_run_length(horizon, dt):
+    with pytest.raises(ValueError):
+        hw.counterexample_flow(1.0, horizon=horizon, dt=dt)
+
+
+def test_control_path_rejects_weights_off_the_simplex():
+    u = np.full((4, 2), 0.5)
+    v = np.full((4, 2), 0.5)
+    hw.ControlPath(1e-2, u, v)
+    for bad in (np.nan, -0.5):
+        w = u.copy()
+        w[1, 0] = bad
+        with pytest.raises(ValueError, match="control weights"):
+            hw.ControlPath(1e-2, w, v)
+        with pytest.raises(ValueError, match="control weights"):
+            hw.ControlPath(1e-2, u, w)
+    with pytest.raises(ValueError):
+        hw.ControlPath(1e-2, u[:0], v[:0])
+
+
 def test_growth_report_constant_series():
     times = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     fit = hw.growth_report(times, np.full(5, 3.7))

@@ -39,6 +39,12 @@ def test_grid_validation():
         hw.Grid([1.0], [2.0], [5])  # misses the zero-imbalance hyperplane
     with pytest.raises(ValueError):
         hw.Grid([-1.0], [-2.0], [5])
+    for lows, highs in (([-np.inf, -1.0], [1.0, 1.0]), ([-1.0, -1.0], [1.0, np.inf]),
+                        ([np.nan, -1.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            hw.Grid(lows, highs, [5, 5])
+    with pytest.raises(ValueError, match="finite"):
+        hw.default_grid(single_class_fixture()[0], 11, np.inf)
 
 
 def test_default_grid_covers_discounted_bulk():

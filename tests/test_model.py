@@ -198,6 +198,39 @@ def test_control_point_validation():
     point = hw.ControlPoint.vertex(1, 0, 2, 2)
     assert point.u.tolist() == [0.0, 1.0]
     assert point.v.tolist() == [1.0, 0.0]
+    # every comparison with NaN is false: the rule must still reject it
+    with pytest.raises(ValueError):
+        hw.ControlPoint([np.nan, 1.0], [1.0])
+    with pytest.raises(ValueError):
+        hw.ControlPoint([0.0, 1.0], [np.nan])
+    with pytest.raises(ValueError):
+        hw.ControlPoint([np.nan, np.nan], [1.0])
+
+
+def test_abandonment_equal_to_service_rate_dominates():
+    """theta_i = mu_ij counts as dominating, in every hypothesis that reads
+    ``TreeModel.dominated``; a station without edges leaves case i as it was."""
+    tie = n_model(mu=(1.0, 2.0, 2.0), theta=(1.0, 2.0))
+    assert tie.dominated.tolist() == [[True, False], [True, True]]
+    assert hw.classify_case(tie, nmodel_cost()) == frozenset({"ii"})
+    assert hw.nonidling_hypothesis(tie) == []
+    # the tie on edge (1, 0) is the first dominating edge once (0, 0) is not
+    assert hw.default_priority_edge(n_model(mu=(1.0, 2.0, 2.0), theta=(1.5, 2.0))) == (1, 0)
+
+    mu = np.zeros((2, 3))
+    mu[0, 0], mu[1, 0], mu[1, 1] = 1.0, 1.0, 2.0
+    psi = np.where(mu > 0, 0.5, 0.0)
+    lam, nu, xs = hw.fluid_from_flows(mu, psi)
+    edgeless = hw.TreeModel(
+        classes=2, stations=3, edges=((0, 0), (1, 0), (1, 1)), mu=mu, theta=[0, 0],
+        ell=[0, 0], r=[1, 1], gamma=1.0, lam=lam, nu=nu, x_star=xs, psi_star=psi,
+    )
+    cost = hw.RunningCostSpec(c=[1.0, 1.0], d=[1.0, 1.0, 1.0])
+    assert hw.classify_case(edgeless, cost) == frozenset({"i"})
+    with pytest.raises(ValueError, match="station-uniform"):
+        hw.station_uniform_sequences(edgeless)
+    with pytest.raises(ValueError, match="class-uniform"):
+        hw.class_uniform_sequences(edgeless)
 
 
 def test_cost_spec_checks_and_growth_bound(rng):

@@ -80,6 +80,18 @@ def test_invert_rate_sup_bound(rng):
 def test_invert_rate_rejects_nonpositive():
     with pytest.raises(ValueError):
         hw.invert_rate(0.0, np.ones(10), 0.1)
+    for mu in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError):
+            hw.invert_rate(mu, np.ones(10), 0.1)
+    for dt in (np.nan, np.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            hw.invert_rate(1.0, np.ones(10), dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+def test_integrate_rejects_bad_step(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        hw.integrate(np.ones(3), dt)
 
 
 def test_expansion_coefficients_values():

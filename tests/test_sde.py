@@ -173,7 +173,8 @@ def test_ensemble_streams_differ():
 
 
 @pytest.mark.parametrize("n_paths, dt, snap_idx", [(0, 1e-2, ()), (10, 0.0, ()),
-                                                   (10, 1e-2, (-1,)), (10, 1e-2, (11,))])
+                                                   (10, 1e-2, (-1,)), (10, 1e-2, (11,)),
+                                                   (10, np.nan, ()), (10, np.inf, ())])
 def test_ensemble_rejects_bad_sizes(n_paths, dt, snap_idx):
     model, _ = single_class_fixture()
     policy = hw.StaticPriority.for_model(model, 0, 0)
