@@ -119,7 +119,10 @@ def _parse_policy(spec, model, horizon, seed):
         return sde.SwitchingControl(model, period, horizon, seed=seed)
     if not Path(spec).exists():
         raise CliError(f"policy file not found: {spec}")
-    return sde.GridMarkov(_load_field(spec, "policy", model))
+    try:
+        return sde.GridMarkov(_load_field(spec, "policy", model))
+    except ValueError as exc:
+        raise CliError(f"{spec}: {exc}") from exc
 
 
 def _load_field(path, kind, model):
@@ -135,11 +138,6 @@ def _load_field(path, kind, model):
     if kind == "policy" and (field.u.shape[1], field.v.shape[1]) != (model.classes, model.stations):
         raise CliError(f"{path} has {field.u.shape[1]} u and {field.v.shape[1]} v columns; "
                        f"the model has {model.classes} classes and {model.stations} stations")
-    if kind == "policy":
-        try:
-            model_mod.check_simplex(field.u, field.v)
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
     if header.get("model_hash") != model_mod.model_hash(model):
         print(f"warning: {path} was built for a different model", file=sys.stderr)
     return field
@@ -181,12 +179,13 @@ def _smooth_controls(model, n, dt, rng):
 # the most steps a run may take: a path of that many steps already fills
 # hundreds of megabytes
 MAX_STEPS = 10**7
-# the most points a solve-hjb grid may have: a solve takes about 1.6 kB a
-# point (n_model, 121^2 to 601^2), so that many take about 1.6 GB
-MAX_GRID_POINTS = 10**6
 # the most pre-limit replications a run may take: each holds a generator and
 # a block of uniforms, 5.3 kB (n_model, R = 2000 to 4000), so about 530 MB
 MAX_REPS = 10**5
+# the largest pre-limit scale: a rule's lift table has 2 caps.sum() + 1 rows,
+# 420 to 480 B per unit of n (n_model, n = 10^4 to 10^6, greedy and tracking
+# rules), so about 480 MB
+MAX_N = 10**6
 # the most samples, replications or paths times --samples, prelimit or compare
 # may store: 64 B a replication sample and 48 B a path sample (n_model, R 500
 # to 1000, 2000 to 4000 paths, 100 to 1000 samples), so about 640 MB
@@ -250,14 +249,8 @@ def cmd_simulate(args, out):
 def cmd_solve_hjb(args, out):
     model, cost = _load_model(args.model)
     cost = _require_cost(cost)
-    # solve_hjb checks this too, but only after the static-mc data is simulated
-    if model.classes > 3:
-        raise CliError("grid solves are limited to 3 classes or fewer")
-    if args.points**model.classes > MAX_GRID_POINTS:
-        raise CliError(f"--points {args.points} on {model.classes} classes gives more than "
-                       f"{MAX_GRID_POINTS:g} grid points")
-    grid = hjb.default_grid(model, points_per_dim=args.points, radius=args.radius)
     try:
+        grid = hjb.default_grid(model, points_per_dim=args.points, radius=args.radius)
         boundary = args.boundary if args.boundary == "extrapolate" else hjb._boundary_values_mc(
             model, cost, grid, args.boundary_paths, seed=args.seed, threads=args.threads)
         sol = hjb.solve_hjb(model, cost, grid, boundary=boundary, tol=args.tol)
@@ -394,6 +387,8 @@ def cmd_integral_residual(args, out):
 
 
 def _prelimit_samples(args, model):
+    if args.n > MAX_N:
+        raise CliError(f"--n {args.n} is more than {MAX_N:g}")
     if args.reps > MAX_REPS:
         raise CliError(f"--reps {args.reps} is more than {MAX_REPS:g}")
     count = max(args.reps, getattr(args, "paths", 0))  # prelimit has no --paths

@@ -35,6 +35,7 @@ boundary simulates with ``_boundary_values_mc``.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,10 +47,15 @@ from .flows import _columns, _drift_maps, drift_batch
 from .model import ControlPoint, RunningCostSpec, TreeModel, model_hash, write_csv
 from .sde import StaticPriority, default_priority_edge
 
+# the most points a grid may have: a solve takes 1.2-1.6 kB a point (n_model
+# in 2-D, a 4-class tree in 4-D), so that many take about 1.6 GB
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform box grid; must straddle the hyperplane of zero imbalance."""
+    """Uniform box grid; must straddle the hyperplane of zero imbalance and
+    have at most ``MAX_GRID_POINTS`` points."""
 
     lows: np.ndarray
     highs: np.ndarray
@@ -58,11 +64,17 @@ class Grid:
     def __post_init__(self):
         lows = np.asarray(self.lows, dtype=float)
         highs = np.asarray(self.highs, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
+        try:
+            counts = np.asarray(self.counts, dtype=int)
+        except OverflowError as exc:
+            raise ValueError(f"grid counts out of range: {self.counts!r}") from exc
         if not (lows.shape == highs.shape == counts.shape) or lows.ndim != 1:
             raise ValueError("lows, highs, counts must be 1-D and matching")
         if (counts < 3).any():
             raise ValueError("need at least 3 points per dimension")
+        if math.prod(counts.tolist()) > MAX_GRID_POINTS:
+            raise ValueError(f"a {' x '.join(map(str, counts))} grid has more than "
+                             f"{MAX_GRID_POINTS:g} points")
         if not ((lows < highs) & np.isfinite(highs - lows)).all():
             raise ValueError("box must be finite and nonempty: lows below highs")
         if not (lows.sum() < 0.0 < highs.sum()):
@@ -81,7 +93,7 @@ class Grid:
 
     @cached_property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts.tolist())
 
     @cached_property
     def strides(self) -> np.ndarray:
@@ -142,7 +154,7 @@ class Grid:
 def default_grid(model: TreeModel, points_per_dim: int = 121, radius: float = 6.0) -> Grid:
     """Box covering ``radius`` standard deviations of the discounted bulk."""
     sigma = model.r / np.sqrt(2.0 * model.gamma)
-    return Grid(-radius * sigma, radius * sigma, np.full(model.classes, points_per_dim))
+    return Grid(-radius * sigma, radius * sigma, [points_per_dim] * model.classes)
 
 
 @dataclass(frozen=True)
@@ -312,9 +324,9 @@ class HJBIteration:
     ``solve_s`` is the seconds spent in the linear solve, and ``solver``
     names it: ``"spsolve"`` (sparse LU with diagonal pivots, 1-D and 2-D),
     ``"spsolve-pivoted"`` (that LU failed its backward-error check and
-    partial pivoting solved the system instead), ``"bicgstab"`` (3-D), or
-    ``"bicgstab->spsolve"`` and ``"bicgstab->spsolve-pivoted"`` (BiCGSTAB
-    did not converge and LU solved the system instead).
+    partial pivoting solved the system instead), ``"bicgstab"`` (3-D and
+    up), or ``"bicgstab->spsolve"`` and ``"bicgstab->spsolve-pivoted"``
+    (BiCGSTAB did not converge and LU solved the system instead).
     """
 
     sup_update: float
@@ -341,13 +353,27 @@ class HJBSolution:
 
 def _candidate_tables(model, cost, grid):
     """Upwind weights ``(K, n, I)``, costs and denominators ``(K, n)`` per
-    candidate vertex control at the ``n`` interior points."""
+    candidate vertex control at the ``n`` interior points.  They are built
+    with floating-point warnings off, and a ValueError names the spacing or
+    the cost exponents when a table is not finite or the discount rate is
+    lost to rounding in the denominators."""
     h = grid.spacing
     a = 0.5 * model.r**2
-    b, LV = _candidates(model, cost, grid.points[grid.interior])
-    WP = (a + h * np.maximum(b, 0.0)) / h**2
-    WM = (a + h * np.maximum(-b, 0.0)) / h**2
-    return WP, WM, LV, model.gamma + WP.sum(axis=-1) + WM.sum(axis=-1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b, LV = _candidates(model, cost, grid.points[grid.interior])
+        WP = (a + h * np.maximum(b, 0.0)) / h**2
+        WM = (a + h * np.maximum(-b, 0.0)) / h**2
+        out_p, out_m = WP.sum(axis=-1), WM.sum(axis=-1)
+        DEN = model.gamma + out_p + out_m
+    # false where a weight is not finite, and where the weights are so large
+    # that the discount rate vanishes next to them and the system is singular
+    if not (DEN > out_p + out_m).all():
+        raise ValueError(f"grid spacing {h.tolist()} is out of range: the upwind weights "
+                         f"overflow or hide the discount rate {model.gamma:g}")
+    if not np.isfinite(LV).all():
+        raise ValueError(f"the running cost overflows on the box (exponents p={cost.p:g}, "
+                         f"q={cost.q:g}, m={cost.m:g})")
+    return WP, WM, LV, DEN
 
 
 def _boundary_values_mc(model, cost, grid, n_paths, dt=1e-3, seed=0, threads=1):
@@ -433,12 +459,12 @@ def _linear_solve(A, rhs, x0, dim):
     """Solve ``A x = rhs``; returns the solution and the solver's name.
 
     ``spsolve`` in 1-D and 2-D, where it is the faster one, named as it
-    names itself.  In 3-D the LU fill-in dominates, so BiCGSTAB starts from
-    ``x0`` on the Jacobi-scaled system ``(A D^-1) y = rhs``, ``D = diag(A)``,
-    and returns ``x = D^-1 y``: the right preconditioning is a column
-    scaling, and the iterates are those of a Jacobi preconditioner ``M =
-    D^-1``, whose stopping test is on the true residual, ``||rhs - A x|| <=
-    1e-12 ||rhs||``.  If it does not converge, ``spsolve`` takes over and
+    names itself.  From 3-D up the LU fill-in dominates, so BiCGSTAB starts
+    from ``x0`` on the Jacobi-scaled system ``(A D^-1) y = rhs``, ``D =
+    diag(A)``, and returns ``x = D^-1 y``: the right preconditioning is a
+    column scaling, and the iterates are those of a Jacobi preconditioner
+    ``M = D^-1``, whose stopping test is on the true residual, ``||rhs - A
+    x|| <= 1e-12 ||rhs||``.  If it does not converge, ``spsolve`` takes over and
     the name is ``"bicgstab->"`` and its own.
     """
     if dim < 3:
@@ -486,14 +512,11 @@ def solve_hjb(
 
     The policy evaluation solves with sparse LU in 1-D and 2-D
     (``spsolve``: diagonal pivots and one refinement step, partial pivoting
-    if the result fails a backward-error check).  In 3-D it runs
+    if the result fails a backward-error check).  From 3-D up it runs
     right-Jacobi-preconditioned BiCGSTAB (true residual at most 1e-12 of the
     right-hand side) from the current value and falls back to LU when that
-    does not converge; each step's ``solver`` says which ran.  Dimension is
-    capped at 3: beyond that the grid is not tractable here.
+    does not converge; each step's ``solver`` says which ran.
     """
-    if model.classes > 3:
-        raise ValueError("grid solves are limited to 3 classes or fewer")
     if grid.dim != model.classes:
         raise ValueError("grid dimension must equal the class count")
     extrapolate = isinstance(boundary, str) and boundary == "extrapolate"

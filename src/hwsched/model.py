@@ -531,12 +531,16 @@ def model_to_dict(model: TreeModel, cost: RunningCostSpec | None = None) -> dict
 
 
 def model_from_dict(doc: dict) -> tuple[TreeModel, RunningCostSpec | None]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document must be a JSON object, got {type(doc).__name__}")
     I = int(doc["classes"])
     J = int(doc["stations"])
     edges = []
     mu = np.zeros((I, J))
     for e in doc["edges"]:
         i, j = int(e["class"]), int(e["station"])
+        if not (0 <= i < I and 0 <= j < J):
+            raise ValueError(f"edge ({i},{j}) out of range for {I} classes and {J} stations")
         edges.append((i, j))
         mu[i, j] = float(e["mu"])
     model = TreeModel(

@@ -47,7 +47,7 @@ import numpy as np
 
 # drift_batch stays importable here: it is the batch form of what _columns tabulates
 from .flows import _columns, _drift_maps, drift_batch  # noqa: F401
-from .model import ControlPoint, RunningCostSpec, TreeModel, write_csv
+from .model import ControlPoint, RunningCostSpec, TreeModel, check_simplex, write_csv
 
 # state rows per simulation chunk; fixed so runs reproduce across workers
 CHUNK = 65536
@@ -132,17 +132,19 @@ class GridMarkov:
     """Markov policy read off a grid-sampled policy field.
 
     Accepts any object with a ``Grid`` ``grid`` and ``u``, ``v`` attributes
-    (a ``PolicyField`` of the grid solver module).  The table is the field's
-    rows and ``index`` the flat index of the nearest grid point, with states
-    outside the box clipped onto it.
+    (a ``PolicyField`` of the grid solver module) whose rows lie on the
+    control simplex (``check_simplex``).  The table is the field's rows and
+    ``index`` the flat index of the nearest grid point, with states outside
+    the box clipped onto it.
     """
 
     def __init__(self, field):
+        check_simplex(field.u, field.v)
         g = field.grid
         # unused here; perfbench/layers.py reads them
         self._lows, self._spacing, self._counts = g.lows, g.spacing, g.counts
         # flat (C-order) index of grid point n is _strides @ n
-        self._strides = np.append(np.cumprod(g.counts[:0:-1])[::-1], 1).astype(float)
+        self._strides = g.strides.astype(float)
         # (I, 1) columns: index works class-major, on the (I, B) transpose of X
         self._lows_i, self._spacing_i = g.lows[:, None], g.spacing[:, None]
         self._top_i = g.counts[:, None] - 1.0

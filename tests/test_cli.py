@@ -10,6 +10,10 @@ from hwsched.cli import main
 from conftest import n_model, nmodel_cost, single_class_fixture, smooth_control_path, tree3_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
+NM_DOC = json.loads((MODELS / "n_model.json").read_text())
+# n_model with its last edge's class out of range, and with an overflowing cost exponent
+NM_EDGE_7 = {**NM_DOC, "edges": [*NM_DOC["edges"][:-1], {**NM_DOC["edges"][-1], "class": 7}]}
+NM_P_1E308 = {**NM_DOC, "cost": {**NM_DOC["cost"], "p": 1e308}}
 
 
 @pytest.fixture
@@ -140,7 +144,9 @@ def test_static_mc_boundary_is_data_the_cli_simulates(tmp_path):
     assert json.loads((out / "solve.json").read_text())["boundary"] == "static-mc"
 
 
-def test_solve_hjb_rejects_four_classes_before_simulating(tmp_path, capsys, monkeypatch):
+def test_solve_hjb_checks_the_point_cap_before_simulating(tmp_path, capsys, monkeypatch):
+    """Four classes solve; a grid of more than ``hjb.MAX_GRID_POINTS`` points
+    (32^4 = 1 048 576) exits 2 before any boundary data is simulated."""
     mu = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [0.0, 1.5, 1.0], [0.0, 0.0, 2.0]])
     psi_star = np.where(mu > 0, 0.5, 0.0)
     lam, nu, x_star = hw.fluid_from_flows(mu, psi_star)
@@ -152,11 +158,16 @@ def test_solve_hjb_rejects_four_classes_before_simulating(tmp_path, capsys, monk
     hw.save_model(path, model, hw.RunningCostSpec(c=[1.0] * 4, d=[1.0] * 3))
 
     def no_simulation(*args, **kwargs):
-        raise AssertionError("the boundary data was simulated before the class count was checked")
+        raise AssertionError("the boundary data was simulated before the point count was checked")
 
     monkeypatch.setattr(hjb, "_boundary_values_mc", no_simulation)
-    assert run("solve-hjb", "--model", path, "--points", "5", "--out", tmp_path / "o") == 2
-    assert "3 classes or fewer" in capsys.readouterr().err
+    assert run("solve-hjb", "--model", path, "--points", "32", "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than 1e+06 points" in err
+    out = tmp_path / "solve"
+    assert run("solve-hjb", "--model", path, "--points", "5", "--boundary", "extrapolate",
+               "--out", out) == 0
+    assert json.loads((out / "solve.json").read_text())["converged"] is True
 
 
 def test_solve_json_is_strict_json_on_small_grids(tmp_path):
@@ -393,6 +404,15 @@ def _field_files(model_file, tmp_path):
     ("compare", "--reps", "100000000000000000000"),
     ("compare", "--paths", "100000000000000000000"),
     ("compare", "--paths", "3400000"),
+    ("solve-hjb", "--points", "5", "--boundary", "extrapolate", "--radius", "1e-300"),
+    ("solve-hjb", "--points", "5", "--boundary", "extrapolate", "--radius", "1e300"),
+    ("solve-hjb", "--points", "5", "--boundary", "extrapolate", "--radius", "1e-8"),
+    ("solve-hjb", "--points", "5", "--boundary", "extrapolate", "--model", NM_P_1E308),
+    ("solve-hjb", "--points", "2097153", "--boundary", "extrapolate",
+     "--model", MODELS / "tree4.json"),
+    ("solve-hjb", "--points", "100000000000000000000", "--boundary", "extrapolate"),
+    ("prelimit", "--n", "10000000000", "--reps", "2"),
+    ("compare", "--n", "10000000000", "--reps", "2", "--paths", "2"),
 ])
 def test_bad_spec_exits_two(n_model_file, tmp_path, capsys, argv):
     config = tmp_path / "dt0.json"
@@ -490,6 +510,23 @@ def test_invalid_model_exits_two_outside_validate(tmp_path, capsys, key, value):
         assert run(*argv, "--model", path, "--out", tmp_path / argv[0]) == 2
         assert "invalid model" in capsys.readouterr().err
     assert run("validate", "--model", path, "--out", tmp_path / "v") == 1
+
+
+@pytest.mark.parametrize("doc", [[NM_DOC], NM_EDGE_7,
+                                 {**NM_DOC, "edges": [{"class": 0, "station": -1, "mu": 1.0}]}],
+                         ids=["array", "class_7", "station_-1"])
+@pytest.mark.parametrize("argv", [("validate",), ("evaluate-policy", "--paths", "2"),
+                                  ("solve-hjb", "--points", "5", "--boundary", "extrapolate"),
+                                  ("prelimit", "--reps", "2"), ("det-run",),
+                                  ("integral-residual",)])
+def test_malformed_model_file_exits_two(tmp_path, capsys, doc, argv):
+    """A model document that is not a JSON object, or whose edge indices are
+    out of range, cannot be read: every command exits 2, validate too."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(*argv, "--model", path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse model file") and err.count("\n") == 1
 
 
 def test_invalid_cost_spec_exits_two_outside_validate(tmp_path, capsys):

@@ -45,6 +45,27 @@ def test_grid_validation():
             hw.Grid(lows, highs, [5, 5])
     with pytest.raises(ValueError, match="finite"):
         hw.default_grid(single_class_fixture()[0], 11, np.inf)
+    # the point count is an exact integer: np.prod wraps around on the last two
+    for counts in ([1001] * 2, [101] * 3, [32] * 4, [2097153] * 3, [2**32] * 2):
+        with pytest.raises(ValueError, match="more than 1e\\+06 points"):
+            hw.Grid([-1.0] * len(counts), [1.0] * len(counts), counts)
+    assert hw.Grid([-1.0] * 2, [1.0] * 2, [1000, 1000]).size == hjb.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="out of range"):
+        hw.Grid([-1.0], [1.0], [10**20])
+
+
+@pytest.mark.parametrize("radius, p, match", [(1e-300, 1.0, "spacing"), (1e300, 1.0, "spacing"),
+                                              (1e-8, 1.0, "discount"), (6.0, 1e308, "exponents")])
+def test_solve_rejects_overflowing_tables(radius, p, match):
+    """A box so small or so large that the upwind weights overflow or hide
+    the discount rate, or a cost that overflows on the box, is rejected
+    before any solve and without a floating-point warning."""
+    model = n_model()
+    cost = hw.RunningCostSpec(c=[3.0, 1.0], d=[1.0, 2.0], p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            hw.solve_hjb(model, cost, hw.default_grid(model, 5, radius))
 
 
 def test_default_grid_covers_discounted_bulk():
@@ -272,9 +293,10 @@ def value_iteration(model, cost, grid, boundary):
     ("n_model", 21, "extrapolate", "spsolve"),
     ("n_model", 21, "static-mc", "spsolve"),
     ("tree3", 9, "extrapolate", "bicgstab"),
+    ("tree4", 9, "extrapolate", "bicgstab"),
 ])
 def test_value_iteration_matches_policy_iteration(name, points, boundary, solver):
-    model, cost = (n_model(), nmodel_cost()) if name == "n_model" else tree3_model()
+    model, cost = (n_model(), nmodel_cost()) if name == "n_model" else shipped_model(name)
     grid = hw.default_grid(model, points, radius=4.0)
     sol = hw.solve_hjb(model, cost, grid, boundary=boundary_data(grid, boundary))
     assert {step.solver for step in sol.report.history} == {solver}
@@ -580,7 +602,7 @@ def test_single_class_policy_constant():
     assert (policy.u == 1.0).all() and (policy.v == 1.0).all()
 
 
-def test_dimension_cap():
+def test_four_classes_solve_within_the_point_cap():
     mu = np.zeros((4, 1))
     psi = np.zeros((4, 1))
     mu[:, 0] = 1.0
@@ -592,8 +614,34 @@ def test_dimension_cap():
         x_star=xs, psi_star=psi,
     )
     cost = hw.RunningCostSpec(c=np.ones(4), d=[1.0])
-    with pytest.raises(ValueError):
-        hw.solve_hjb(wide, cost, hw.Grid([-1] * 4, [1] * 4, [5] * 4))
+    with pytest.raises(ValueError, match="more than"):
+        hw.Grid([-1] * 4, [1] * 4, [32] * 4)
+    sol = hw.solve_hjb(wide, cost, hw.Grid([-1] * 4, [1] * 4, [5] * 4))
+    assert sol.report.converged
+    assert {step.solver for step in sol.report.history} == {"bicgstab"}
+
+
+def test_four_class_tree_end_to_end():
+    """models/tree4.json (4 classes, 4 stations, case iii) on +-4.5 sigma:
+    the 9^4 and 13^4 solves converge by BiCGSTAB at every step, the value at
+    0 falls as the grid refines, and the 13^4 extracted policy costs less
+    from 0 than the static priority ``default_priority_edge`` on one seed.
+    The h -> 0 extrapolation of these sizes is not compared with the MC
+    cost: the grid error is first order and 13^4 is still far from h = 0."""
+    model, cost = shipped_model("tree4")
+    values = []
+    for points in (9, 13):
+        sol = hw.solve_hjb(model, cost, hw.default_grid(model, points, 4.5))
+        assert sol.report.converged
+        assert {step.solver for step in sol.report.history} == {"bicgstab"}
+        values.append(hw.field_at(sol.value, np.zeros((1, 4)))[0])
+    assert values[1] < values[0]
+    x0 = np.zeros((1, 4))
+    field = hw.GridMarkov(hw.extract_policy(sol.value, model, cost))
+    static = hw.StaticPriority.for_model(model, *hw.default_priority_edge(model))
+    (hjb_cost,), _, _ = hw.mc_cost_batch(model, cost, x0, field, 4000, dt=4e-3, seed=1)
+    (static_cost,), _, _ = hw.mc_cost_batch(model, cost, x0, static, 4000, dt=4e-3, seed=1)
+    assert hjb_cost < static_cost
 
 
 def test_field_file_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hwsched as hw
+from hwsched.model import model_from_dict, model_to_dict
 from conftest import n_model, nmodel_cost, random_tree_model, single_edge_model
 
 
@@ -269,6 +270,18 @@ def test_model_json_roundtrip(tmp_path):
     assert hw.model_hash(loaded) == hw.model_hash(model)
     doc = json.loads(path.read_text())
     assert {"classes", "stations", "edges", "psi_star", "gamma"} <= set(doc)
+
+
+@pytest.mark.parametrize("edit", [lambda doc: [doc],
+                                  lambda doc: doc["edges"].append({"class": 7, "station": 0, "mu": 1}),
+                                  lambda doc: doc["edges"].append({"class": 0, "station": 2, "mu": 1}),
+                                  lambda doc: doc["edges"].append({"class": -1, "station": 0, "mu": 1})],
+                         ids=["array", "class_7", "station_2", "class_-1"])
+def test_model_from_dict_rejects_a_malformed_document(edit):
+    doc = model_to_dict(n_model(), nmodel_cost())
+    doc = edit(doc) or doc
+    with pytest.raises(ValueError, match="JSON object|out of range"):
+        model_from_dict(doc)
 
 
 def test_model_hash_distinguishes():

@@ -313,6 +313,14 @@ def test_grid_markov_nearest():
     np.testing.assert_allclose(U, [[1, 0], [0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("u_row", [(2.0, -1.0), (np.nan, 1.0), (0.5, 0.4)])
+def test_grid_markov_rejects_rows_off_the_simplex(u_row):
+    grid = hw.default_grid(n_model(), 5)
+    with pytest.raises(ValueError, match="sum to one"):
+        hw.GridMarkov(hw.PolicyField(grid, np.tile(u_row, (grid.size, 1)),
+                                     np.full((grid.size, 2), 0.5)))
+
+
 def test_switching_control_deterministic():
     model = n_model()
     a = hw.SwitchingControl(model, 0.5, 4.0, seed=7)
