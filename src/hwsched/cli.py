@@ -108,18 +108,12 @@ def _parse_policy(spec, model, horizon, seed):
         return sde.FixedControl(model_mod.ControlPoint.uniform(model.classes, model.stations))
     if spec.startswith("static:"):
         return sde.StaticPriority.for_model(model, *_static_edge(spec, model))
-    if spec.startswith("switch:"):
-        period = _floats(spec[7:], 1, "switch period")[0]
-        if period <= 0:
-            raise CliError(f"switch period must be positive: {spec!r}")
-        # SwitchingControl holds ceil(horizon / period) + 2 slots
-        if horizon > period * (MAX_STEPS - 2):
-            raise CliError(f"switch period {period:g} gives more than {MAX_STEPS:g} slots "
-                           f"in {horizon:g}")
-        return sde.SwitchingControl(model, period, horizon, seed=seed)
-    if not Path(spec).exists():
-        raise CliError(f"policy file not found: {spec}")
     try:
+        if spec.startswith("switch:"):
+            period = _floats(spec[7:], 1, "switch period")[0]
+            return sde.SwitchingControl(model, period, horizon, seed=seed)
+        if not Path(spec).exists():
+            raise CliError(f"policy file not found: {spec}")
         return sde.GridMarkov(_load_field(spec, "policy", model))
     except ValueError as exc:
         raise CliError(f"{spec}: {exc}") from exc
@@ -176,28 +170,12 @@ def _smooth_controls(model, n, dt, rng):
     return detsys.ControlPath(dt, weights(cu, fu), weights(cv, fv))
 
 
-# the most steps a run may take: a path of that many steps already fills
-# hundreds of megabytes
-MAX_STEPS = 10**7
-# the most pre-limit replications a run may take: each holds a generator and
-# a block of uniforms, 5.3 kB (n_model, R = 2000 to 4000), so about 530 MB
-MAX_REPS = 10**5
-# the largest pre-limit scale: a rule's lift table has 2 caps.sum() + 1 rows,
-# 420 to 480 B per unit of n (n_model, n = 10^4 to 10^6, greedy and tracking
-# rules), so about 480 MB
-MAX_N = 10**6
-# the most samples, replications or paths times --samples, prelimit or compare
-# may store: 64 B a replication sample and 48 B a path sample (n_model, R 500
-# to 1000, 2000 to 4000 paths, 100 to 1000 samples), so about 640 MB
-MAX_SAMPLES = 10**7
-
-
 def _steps(horizon, dt):
     """The number of ``dt`` steps in ``horizon``, which must be at least one
-    and at most ``MAX_STEPS``."""
+    and at most ``sde.MAX_STEPS``."""
     ratio = horizon / dt
-    if ratio > MAX_STEPS:
-        raise CliError(f"--horizon {horizon:g} spans more than {MAX_STEPS:g} --dt {dt:g} steps")
+    if ratio > sde.MAX_STEPS:
+        raise CliError(f"--horizon {horizon:g} spans more than {sde.MAX_STEPS:g} --dt {dt:g} steps")
     n = round(ratio)
     if n < 1:
         raise CliError(f"--horizon {horizon:g} spans no --dt {dt:g} step")
@@ -226,8 +204,8 @@ def cmd_simulate(args, out):
     _steps(args.horizon, args.dt)
     if args.moments:
         times = _floats(args.moments, name="--moments")
-        if max(times) / args.dt > MAX_STEPS:
-            raise CliError(f"--moments {max(times):g} spans more than {MAX_STEPS:g} "
+        if max(times) / args.dt > sde.MAX_STEPS:
+            raise CliError(f"--moments {max(times):g} spans more than {sde.MAX_STEPS:g} "
                            f"--dt {args.dt:g} steps")
     span = max(args.horizon, max(times)) if args.moments else args.horizon
     policy = _parse_policy(args.policy, model, span, args.seed)
@@ -331,9 +309,12 @@ def cmd_nonidling_check(args, out):
     w = 1.0 + np.tile(t[:, None], (1, model.classes))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for _ in range(args.runs):
-        controls = _smooth_controls(model, n + 1, args.dt, rng)
-        worst = max(worst, detsys.check_nonidling(model, w, controls))
+    try:  # a --dt lost to rounding in 1 + t gives drivers that do not increase
+        for _ in range(args.runs):
+            controls = _smooth_controls(model, n + 1, args.dt, rng)
+            worst = max(worst, detsys.check_nonidling(model, w, controls))
+    except ValueError as exc:
+        raise CliError(f"--dt {args.dt:g}: {exc}") from exc
     ok = worst <= args.tol
     _write_json(out / "nonidling.json", {
         "max_idleness": worst, "tol": args.tol, "runs": args.runs,
@@ -374,7 +355,11 @@ def cmd_integral_residual(args, out):
     w = w0 + (amps[None] * np.sin(freqs[None] * t[:, None, None] + ph[None])).sum(-1)
     controls = _smooth_controls(model, n + 1, args.dt, rng)
     traj = detsys.integrate_det(model, w, controls)
-    res = detsys.identity_residual(seqs, traj)
+    try:  # the operators grow like (rate t)^depth, past the float range on a long run
+        with np.errstate(over="raise", invalid="raise"):
+            res = detsys.identity_residual(seqs, traj)
+    except FloatingPointError as exc:
+        raise CliError(f"--horizon {args.horizon:g}: the path operators overflow: {exc}") from exc
     sup = float(np.abs(res).max())
     tol = args.tol if args.tol is not None else 50.0 * args.dt
     ok = sup <= tol
@@ -387,27 +372,27 @@ def cmd_integral_residual(args, out):
 
 
 def _prelimit_samples(args, model):
-    if args.n > MAX_N:
-        raise CliError(f"--n {args.n} is more than {MAX_N:g}")
-    if args.reps > MAX_REPS:
-        raise CliError(f"--reps {args.reps} is more than {MAX_REPS:g}")
+    # the sample times are made here, and compare stores its paths' samples
     count = max(args.reps, getattr(args, "paths", 0))  # prelimit has no --paths
-    if count * args.samples > MAX_SAMPLES:
+    if count * args.samples > ctmc.MAX_SAMPLES:
         raise CliError(f"{count} replications or paths of {args.samples} samples store more "
-                       f"than {MAX_SAMPLES:g} samples")
-    scaling = ctmc.ScalingSpec.centered(model, args.n)
-    if args.rule.startswith("static:"):
-        rule = ctmc.GreedyPriority(model, scaling, *_static_edge(args.rule, model))
-    elif args.rule == "track":
-        point = model_mod.ControlPoint.uniform(model.classes, model.stations)
-        rule = ctmc.ImbalanceTracking(model, scaling, point)
-    else:
-        raise CliError(f"unknown rule {args.rule!r}; use static:i,j or track")
-    x0 = _floats(args.x0, model.classes, "--x0") if args.x0 else np.zeros(model.classes)
-    times = np.linspace(0.0, args.horizon, args.samples)
-    samples = ctmc.run_replications(
-        model, scaling, rule, x0, args.horizon, args.reps, seed=args.seed, sample_times=times
-    )
+                       f"than {ctmc.MAX_SAMPLES:g} samples")
+    try:
+        scaling = ctmc.ScalingSpec.centered(model, args.n)
+        if args.rule.startswith("static:"):
+            rule = ctmc.GreedyPriority(model, scaling, *_static_edge(args.rule, model))
+        elif args.rule == "track":
+            point = model_mod.ControlPoint.uniform(model.classes, model.stations)
+            rule = ctmc.ImbalanceTracking(model, scaling, point)
+        else:
+            raise CliError(f"unknown rule {args.rule!r}; use static:i,j or track")
+        x0 = _floats(args.x0, model.classes, "--x0") if args.x0 else np.zeros(model.classes)
+        times = np.linspace(0.0, args.horizon, args.samples)
+        samples = ctmc.run_replications(
+            model, scaling, rule, x0, args.horizon, args.reps, seed=args.seed, sample_times=times
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return scaling, x0, times, samples
 
 
@@ -547,7 +532,8 @@ def _build_parser():
     p.add_argument("--points", type=_GRID_POINTS, default=121)
     p.add_argument("--radius", type=_POSITIVE_FLOAT, default=6.0)
     p.add_argument("--boundary", default="static-mc", choices=["static-mc", "extrapolate"])
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-8)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-8,
+                   help="bound on the last step's Bellman residual, relative to max(1, |value|)")
     p.add_argument("--boundary-paths", type=_POSITIVE_INT, default=2000)
 
     p = add("extract-policy", help="extract the minimizing control field")

@@ -31,10 +31,24 @@ import numpy as np
 from .flows import lift_matrix
 from .model import ControlPoint, TreeModel
 
+# the largest scale n: a rule's lift table has 2 caps.sum() + 1 rows, 420 to
+# 480 B per unit of n (n_model, n = 10^4 to 10^6, greedy and tracking rules),
+# so about 480 MB
+MAX_N = 10**6
+# the most replications a run may take: each holds a generator and a block of
+# uniforms, 5.3 kB (n_model, R = 2000 to 4000), so about 530 MB
+MAX_REPS = 10**5
+# the most samples, replications times sample times, a run may store: 64 B a
+# replication sample in the CLI's prelimit, and 48 B a path sample in its
+# compare (n_model, R 500 to 1000, 2000 to 4000 paths, 100 to 1000 samples),
+# so about 640 MB
+MAX_SAMPLES = 10**7
+
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    """System-size parametrization around the fluid operating point."""
+    """System-size parametrization around the fluid operating point; ``n``
+    is at most ``MAX_N``."""
 
     n: int
     lam_hat: np.ndarray
@@ -46,6 +60,8 @@ class ScalingSpec:
         object.__setattr__(self, "mu_hat", np.asarray(self.mu_hat, dtype=float))
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > MAX_N:
+            raise ValueError(f"n {self.n} is more than MAX_N = {MAX_N:g}")
 
     @classmethod
     def centered(cls, model: TreeModel, n: int) -> "ScalingSpec":
@@ -331,7 +347,8 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
     falls past ``horizon`` or its last sample is taken, so its path does not
     depend on the other rows.  Returns the sample times (default: 11 over
     the horizon), the integer samples ``(X, Y, Z)``, each row's event count
-    and the realized start.
+    and the realized start.  At most ``MAX_REPS`` seeds and ``MAX_SAMPLES``
+    samples in all.
     """
     if not (0.0 < horizon < np.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -342,6 +359,11 @@ def _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times):
         raise ValueError("sample_times must be finite and nonnegative, "
                          f"got {sample_times.tolist()}")
     R, S, I, J = len(seeds), len(sample_times), model.classes, model.stations
+    if R > MAX_REPS:
+        raise ValueError(f"{R} replications are more than MAX_REPS = {MAX_REPS:g}")
+    if R * S > MAX_SAMPLES:
+        raise ValueError(f"{R} replications of {S} samples store more than "
+                         f"MAX_SAMPLES = {MAX_SAMPLES:g} samples")
     IJ = I * J
     caps = scaling.server_counts(model)
     ei, ej = np.array(model.edges).T
@@ -476,6 +498,8 @@ def run_replications(
     Replication r is the path of ``simulate_ctmc(..., seed=[seed, r])``,
     byte for byte, whatever ``n_reps``.
     """
+    if n_reps > MAX_REPS:  # before the keys are listed; _simulate checks the rest
+        raise ValueError(f"{n_reps} replications are more than MAX_REPS = {MAX_REPS:g}")
     seeds = [[int(seed), rep] for rep in range(n_reps)]
     _, (X, _, _), _, _ = _simulate(model, scaling, rule, x_hat0, horizon, seeds, sample_times)
     return (X - scaling.n * model.x_star) / np.sqrt(scaling.n)

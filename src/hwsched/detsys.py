@@ -21,7 +21,7 @@ import numpy as np
 
 from .flows import lift_batch, lift_matrix
 from .model import ControlPoint, TreeModel, check_simplex, write_csv
-from .sde import _n_steps
+from .sde import _stored_steps
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,12 @@ def counterexample_flow(k: float, horizon: float = 5.0, dt: float = 1e-3) -> Cou
     """Evaluate the bipartite-cycle flow and verify it on the grid.
 
     All residuals are computed with exact antiderivatives, so they reflect
-    the algebraic identities rather than quadrature error.
+    the algebraic identities rather than quadrature error.  The grid has at
+    most ``sde.MAX_STEPS`` steps.
     """
     if not (0.0 <= k < np.inf):
         raise ValueError(f"k must be nonnegative and finite, got {k!r}")
-    n = _n_steps(horizon, dt)
+    n = _stored_steps(horizon, dt)
     t = dt * np.arange(n + 1)
     decay = np.exp(-2.0 * t)
 

@@ -379,7 +379,10 @@ def _candidate_tables(model, cost, grid):
 def _boundary_values_mc(model, cost, grid, n_paths, dt=1e-3, seed=0, threads=1):
     """Monte Carlo cost of the static priority ``default_priority_edge`` at
     every point of ``grid.boundary``: the CLI's ``static-mc`` Dirichlet data.
-    Byte-identical for any ``threads`` (``sde.ensemble``)."""
+    Byte-identical for any ``threads`` (``sde.ensemble``).  A grid that
+    fails the solver's rule (``_candidate_tables``) is refused before any
+    path is simulated."""
+    _candidate_tables(model, cost, grid)
     policy = StaticPriority.for_model(model, *default_priority_edge(model))
     pts = grid.points[grid.boundary]
     means, _, _ = sde.mc_cost_batch(
@@ -504,7 +507,8 @@ def solve_hjb(
         that changes no control, since the next solve would repeat the same
         system, and has converged if that step's ``sup_update`` (the Bellman
         residual of the solved value, see ``HJBIteration``) is at most
-        ``tol``.  The improvement keeps a point's current control unless a
+        ``tol * max(1, |f|_inf)``, relative to the value as ``TIE_RTOL`` is.
+        The improvement keeps a point's current control unless a
         candidate beats it by more than ``TIE_RTOL * max(1, |f|_inf)``: on
         the zero-imbalance plane every control gives the same value up to
         rounding, and a plain ``argmin`` would cycle among them forever.
@@ -574,12 +578,12 @@ def solve_hjb(
         fn -= B @ fn - g
         delta = float(np.abs(fn - f).max())
         best = stacked.argmin(axis=0)
-        tie = TIE_RTOL * max(1.0, float(np.abs(f).max()))
-        new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - tie, best, pol)
+        scale = max(1.0, float(np.abs(f).max()))
+        new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - TIE_RTOL * scale, best, pol)
         changes = int((new_pol != pol).sum())
         history.append(HJBIteration(delta, changes, solve_s, solver))
         if changes == 0:
-            converged = delta <= tol
+            converged = delta <= tol * scale
             break
         pol = new_pol
 

@@ -51,6 +51,11 @@ from .model import ControlPoint, RunningCostSpec, TreeModel, check_simplex, writ
 
 # state rows per simulation chunk; fixed so runs reproduce across workers
 CHUNK = 65536
+# the most steps or slots a run may store: simulate_path stores 120 B a step,
+# counterexample_flow 170 B a step, and a SwitchingControl 48 B a slot, 96 B
+# while it is simulated (n_model, 10^5 to 4 10^5 steps), so about 1.7 GB;
+# runs that reduce their paths as they go store no step
+MAX_STEPS = 10**7
 
 
 # -- policies (tabulated: ``table`` and ``index``, see the module docstring) ---
@@ -109,17 +114,21 @@ class SwitchingControl:
     Switch targets are drawn once from a seeded generator, slot by slot, so
     the control is a fixed function of time whatever horizon it is sized
     for; exercises non-Markov admissible behavior.
-    The table holds one vertex pair per time slot of length ``period``.
+    The table holds one vertex pair per time slot of length ``period``,
+    ``ceil(horizon / period) + 2`` slots, at most ``MAX_STEPS``.
     """
 
     def __init__(self, model: TreeModel, period: float, horizon: float, seed: int = 0):
         if period <= 0:
-            raise ValueError("period must be positive")
+            raise ValueError(f"switch period must be positive, got {period:g}")
+        count = np.ceil(horizon / period) + 2
+        if count > MAX_STEPS:
+            raise ValueError(f"switch period {period:g} gives more than MAX_STEPS = "
+                             f"{MAX_STEPS:g} slots in {horizon:g}")
         rng = np.random.default_rng([seed, 2718])
-        count = int(np.ceil(horizon / period)) + 2
         self.period = period
         # one (class, station) row per slot, so a longer horizon appends slots
-        pairs = rng.integers(0, [model.classes, model.stations], size=(count, 2))
+        pairs = rng.integers(0, [model.classes, model.stations], size=(int(count), 2))
         self.table = (np.eye(model.classes)[pairs[:, 0]], np.eye(model.stations)[pairs[:, 1]])
 
     def index(self, X: np.ndarray, t: float) -> int:
@@ -204,6 +213,15 @@ def _n_steps(horizon, dt):
     return n
 
 
+def _stored_steps(horizon, dt):
+    """``_n_steps`` for a run that stores every step: at most ``MAX_STEPS``."""
+    n = _n_steps(horizon, dt)
+    if n > MAX_STEPS:
+        raise ValueError(f"horizon {horizon:g} spans {n} steps of dt {dt:g}, more than "
+                         f"MAX_STEPS = {MAX_STEPS:g}")
+    return n
+
+
 def simulate_path(
     model: TreeModel,
     x0,
@@ -212,8 +230,9 @@ def simulate_path(
     dt: float = 1e-3,
     seed: int = 0,
 ) -> SimPath:
-    """One controlled path: the single path of ``ensemble(..., seed, stream=0)``."""
-    n = _n_steps(horizon, dt)
+    """One controlled path: the single path of ``ensemble(..., seed, stream=0)``,
+    of at most ``MAX_STEPS`` steps."""
+    n = _stored_steps(horizon, dt)
     I = model.classes
     u, v, xi = np.empty((n, I)), np.empty((n, model.stations)), np.empty((n, I))
     rng = np.random.default_rng([int(seed), 0])

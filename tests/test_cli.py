@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hwsched as hw
 from hwsched import cli, hjb, sde
@@ -168,6 +173,28 @@ def test_solve_hjb_checks_the_point_cap_before_simulating(tmp_path, capsys, monk
     assert run("solve-hjb", "--model", path, "--points", "5", "--boundary", "extrapolate",
                "--out", out) == 0
     assert json.loads((out / "solve.json").read_text())["converged"] is True
+
+
+def test_static_mc_grid_is_checked_before_simulating(tmp_path, capsys):
+    """A spacing the solver refuses is refused before the static-mc boundary
+    is simulated from points where the paths overflow: exit 2 naming the
+    spacing, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve-hjb", "--model", MODELS / "n_model.json", "--points", "5",
+                   "--radius", "1e300", "--boundary-paths", "2", "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid spacing") and err.count("\n") == 1
+
+
+def test_solve_tolerance_is_relative_to_the_value(tmp_path):
+    """On a box of radius 1e150 the value is of that order, so the last
+    Bellman residual, about 1e134, is rounding: the solve converges."""
+    out = tmp_path / "o"
+    assert run("solve-hjb", "--model", MODELS / "n_model.json", "--points", "5",
+               "--boundary", "extrapolate", "--radius", "1e150", "--out", out) == 0
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["converged"] is True and doc["sup_update"] > 1e100
 
 
 def test_solve_json_is_strict_json_on_small_grids(tmp_path):
@@ -661,3 +688,78 @@ def test_smooth_controls_match_pointwise_sampling(model):
             assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
             # nonidling-check draws its runs' controls from one generator
             assert rng_got.random() == rng_want.random()
+
+
+# values that no option may let through unchecked
+HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "x", "1,2,3"]
+# policy and rule specs of the right shape with bad parts
+HOSTILE_SPECS = ["switch:0", "switch:1e-300", "switch:nan", "switch:1e300", "static:9,9",
+                 "static:x", "track"]
+# small work, so that an accepted run ends at once
+SMALL = {"--paths": "4", "--horizon": "0.05", "--dt": "0.01", "--reps": "2", "--points": "5",
+         "--boundary": "extrapolate", "--boundary-paths": "4"}
+# the work sizes; only those whose limit is checked before anything is
+# allocated take sizes far past it.  prelimit's and compare's --horizon and
+# --dt take none: together they bound the pre-limit event loop's time, which
+# no limit checks
+SIZES = {"--paths", "--reps", "--samples", "--n", "--points", "--horizon", "--dt", "--runs",
+         "--boundary-paths", "--threads"}
+CHECKED_SIZES = {"--n", "--reps", "--samples", "--points", "--horizon", "--dt"}
+HUGE = ["1e300", "100000000000000000000"]
+
+
+def _options(command):
+    parser = cli._build_parser().subcommands[command]
+    return sorted(a.option_strings[0] for a in parser._actions if a.option_strings)
+
+
+def _values(command, flag):
+    if flag in ("--policy", "--rule"):
+        return HOSTILE + HOSTILE_SPECS
+    if flag not in SIZES:
+        return HOSTILE
+    small = [v for v in HOSTILE if v not in HUGE]
+    if flag in CHECKED_SIZES and not (flag in ("--horizon", "--dt")
+                                      and command in ("prelimit", "compare")):
+        return small + HUGE
+    return small
+
+
+@st.composite
+def _hostile_call(draw):
+    command = draw(st.sampled_from(sorted(cli.HANDLERS)))
+    options = _options(command)
+    free = [o for o in options if o not in ("-h", "--config", "--out", "--model")]
+    flags = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+    argv = [command]
+    for flag in free:
+        if flag in flags:
+            argv += [flag, draw(st.sampled_from(_values(command, flag)))]
+        elif flag in SMALL:
+            argv += [flag, SMALL[flag]]
+    if "--model" in options:
+        argv += ["--model", str(MODELS / "n_model.json")]
+    return argv
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(argv=_hostile_call())
+# the escapes this test found, kept whatever it draws
+@example(argv=["nonidling-check", "--dt", "1e-300", "--horizon", "1e-300",
+               "--model", str(MODELS / "n_model.json")])
+@example(argv=["integral-residual", "--dt", "1e300", "--horizon", "1e300",
+               "--model", str(MODELS / "n_model.json")])
+def test_generated_bad_input_never_escapes(argv):
+    """Calls built from the parser's own options, each with up to three
+    values from a hostile pool and every other work size small: nothing
+    raises out of ``cli.main``, no numpy ``RuntimeWarning`` is emitted, and
+    an exit of 2 prints one ``error:`` line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

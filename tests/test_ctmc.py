@@ -257,6 +257,37 @@ def test_replications_deterministic():
     assert np.std(a) > 0
 
 
+def test_run_sizes_past_their_limits_are_refused(monkeypatch):
+    """A scale past ``MAX_N``, more than ``MAX_REPS`` replications and more
+    than ``MAX_SAMPLES`` stored samples each raise a ``ValueError`` naming the
+    limit, before a generator is seeded.  The limits are lowered here, so
+    that neither side of a limit asks for much memory."""
+    model = n_model()
+    monkeypatch.setattr(ctmc, "MAX_N", 50)
+    monkeypatch.setattr(ctmc, "MAX_REPS", 3)
+    monkeypatch.setattr(ctmc, "MAX_SAMPLES", 8)
+    with pytest.raises(ValueError, match="MAX_N"):
+        hw.ScalingSpec.centered(model, 51)
+    scaling = hw.ScalingSpec.centered(model, 50)
+    rule = hw.GreedyPriority(model, scaling, 0, 1)
+    x0, times = [0.0, 0.0], [0.0, 0.05, 0.1]
+    assert hw.run_replications(model, scaling, rule, x0, 0.1, 2, sample_times=times + [0.1]).shape \
+        == (2, 4, 2)
+
+    def unseeded(*args):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(ctmc.np.random, "default_rng", unseeded)
+    with pytest.raises(ValueError, match="MAX_REPS"):
+        hw.run_replications(model, scaling, rule, x0, 0.1, 4, sample_times=[0.0])
+    with pytest.raises(ValueError, match="MAX_REPS"):
+        ctmc._simulate(model, scaling, rule, x0, 0.1, [[0, r] for r in range(4)], [0.0])
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        hw.run_replications(model, scaling, rule, x0, 0.1, 3, sample_times=times)
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        hw.simulate_ctmc(model, scaling, rule, x0, 0.1, sample_times=np.linspace(0.0, 0.1, 9))
+
+
 def test_compare_samples_identical_inputs():
     rng = np.random.default_rng(1)
     samples = rng.normal(0, 1, (500, 2, 1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hwsched as hw
+from hwsched import sde
 from conftest import n_model, random_tree_model, single_edge_model, smooth_control_path, smooth_driver
 
 
@@ -147,6 +148,16 @@ def test_counterexample_zero_k_is_trivial():
     rep = hw.counterexample_flow(0.0, horizon=1.0, dt=1e-2)
     assert rep.sup_state_norm == 0.0
     assert rep.max_residual == 0.0
+
+
+def test_counterexample_past_max_steps_is_refused(monkeypatch):
+    """The counterexample stores every step of its grid: past
+    ``sde.MAX_STEPS`` steps (lowered here) it raises a ``ValueError`` naming
+    the limit."""
+    monkeypatch.setattr(sde, "MAX_STEPS", 10)
+    assert len(hw.counterexample_flow(1.0, horizon=0.1, dt=0.01).times) == 11
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        hw.counterexample_flow(1.0, horizon=0.11, dt=0.01)
 
 
 def test_counterexample_scales_with_k():

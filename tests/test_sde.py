@@ -340,6 +340,24 @@ def test_switching_slots_do_not_depend_on_the_horizon():
                 np.testing.assert_array_equal(a, b[:len(a)])
 
 
+def test_stored_runs_past_max_steps_are_refused(monkeypatch):
+    """``simulate_path`` stores every step and ``SwitchingControl`` every
+    slot: past ``MAX_STEPS`` of them each raises a ``ValueError`` naming the
+    limit, which is lowered here.  A run that reduces its paths as it goes
+    stores no step and keeps no such limit."""
+    model = n_model()
+    monkeypatch.setattr(sde, "MAX_STEPS", 10)
+    policy = hw.StaticPriority.for_model(model, 0, 1)
+    assert len(hw.simulate_path(model, [0.0, 0.0], policy, 0.1, 0.01).u) == 10
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        hw.simulate_path(model, [0.0, 0.0], policy, 0.11, 0.01)
+    assert len(hw.SwitchingControl(model, 0.125, 1.0).table[0]) == 10
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        hw.SwitchingControl(model, 0.125, 1.01)
+    est = hw.mc_cost(model, nmodel_cost(), [0.0, 0.0], policy, 2, horizon=0.2, dt=0.01)
+    assert np.isfinite(est.mean)
+
+
 def test_default_priority_edge_prefers_dominating_rate():
     model = n_model(theta=(1.5, 0.5))  # class 0 abandonment beats its only rate
     assert sde.default_priority_edge(model) == (1, 0)
