@@ -171,15 +171,11 @@ def _smooth_controls(model, n, dt, rng):
 
 
 def _steps(horizon, dt):
-    """The number of ``dt`` steps in ``horizon``, which must be at least one
-    and at most ``sde.MAX_STEPS``."""
-    ratio = horizon / dt
-    if ratio > sde.MAX_STEPS:
-        raise CliError(f"--horizon {horizon:g} spans more than {sde.MAX_STEPS:g} --dt {dt:g} steps")
-    n = round(ratio)
-    if n < 1:
-        raise CliError(f"--horizon {horizon:g} spans no --dt {dt:g} step")
-    return n
+    """The number of ``dt`` steps in ``horizon`` by ``sde._stored_steps``."""
+    try:
+        return sde._stored_steps(horizon, dt)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 # -- command handlers (return True when the run's check passes) --------------

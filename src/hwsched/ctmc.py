@@ -7,18 +7,18 @@ run step together in one event loop, each on its own clock and random
 stream.  Emitted paths are the centered, root-n-scaled processes, directly
 comparable with the diffusion simulator output.
 
-The target rules assign a batch from a table with one row per aggregate
-headcount: the lift is linear, so ``Psi = X @ Lx + K[X.sum(1)]`` in exact
-integers, and only rows with a negative entry take the exact path of capped
-targets, lift and greedy fill.  The table is built once, when the rule is
-made, for every aggregate below ``2 * caps.sum() + 1``; an aggregate past it
-takes the exact path.  The event loop folds a rule's table into its check
-map once per run, so each event's whole check vector (assignment, queues,
-idleness, non-activities) is one float product of the headcounts plus one
-table row; only rows whose assignment part is negative call the rule's
-``assign_batch``.  One minimum over the batch checks every invariant, the
-broken one is named only when that minimum is negative, and all event rates
-come from one more float product.
+A target rule's lift is linear, so the rule keeps a table with one row per
+aggregate headcount, ``Psi = X @ Lx + K[X.sum(1)]`` in exact integers, built
+once, when the rule is made, for every aggregate below ``2 * caps.sum() +
+1``.  The event loop folds that table into its check map once per run, so
+each event's whole check vector (assignment, queues, idleness,
+non-activities) is one float product of the headcounts plus one table row.
+Only rows whose assignment part is negative, which includes every aggregate
+past the table, call the rule's ``assign_batch``: the exact path of capped
+targets, lift and greedy fill, which gives the table's integers wherever the
+table row is nonnegative.  One minimum over the batch checks every
+invariant, the broken one is named only when that minimum is negative, and
+all event rates come from one more float product.
 """
 
 from __future__ import annotations
@@ -133,18 +133,17 @@ class _TargetRule:
     The aggregate queue ``s^+`` (or idleness ``s^-``) is forced by the
     headcounts; a rule's ``_split`` splits it across classes (stations), and
     one exact integer contraction with the lifting map turns the targets into
-    the in-service matrix.  The lift is linear, so the rule builds one table
-    ``K[a]`` at construction, one row per aggregate headcount
-    ``a = s + caps.sum()`` below ``2 * caps.sum() + 1``, holding
-    ``(caps - Z) @ Lz - Y @ Lx`` for the targets of that aggregate; a batch is
-    then ``X @ Lx + K[X.sum(1)]`` in exact integers.  A row with a negative
-    entry (a target above a headcount, or targets the tree cannot hold) takes
-    the exact path instead: the rule's capped ``_targets``, their lift, and the
-    greedy fill where that lift is still negative.  An aggregate past the
-    table reads a last row far below any real lift, so it takes the exact
-    path too; the rule is never mutated after construction.  ``table = (Lx,
-    K)``, with ``Lx`` the lift of the headcounts, is the map for the event
-    loop to fold into its check product.
+    the in-service matrix.  ``assign_batch`` is that exact path: the rule's
+    capped ``_targets``, their lift, and the greedy fill where that lift is
+    negative (a target above a headcount, or targets the tree cannot hold).
+    The lift is linear, so the rule also builds one table ``K[a]``, one row
+    per aggregate ``a = s + caps.sum()`` below ``2 * caps.sum() + 1``, of
+    ``(caps - Z) @ Lz - Y @ Lx`` for the uncapped targets of ``a``; the event
+    loop folds ``table = (Lx, K)`` into its check product.  ``X @ Lx +
+    K[X.sum(1)]`` is the exact path's answer wherever it is nonnegative (the
+    class totals ``X - Y`` are then nonnegative, so the cap by ``X`` changes
+    nothing), and an aggregate past the table reads a last row far below any
+    real lift.  The rule is never mutated after construction.
     """
 
     def __init__(self, model: TreeModel, scaling: ScalingSpec, queue_class: int = 0,
@@ -158,8 +157,6 @@ class _TargetRule:
         self.station_order.append(idle_station)
         # the lifting map has entries 0 and +-1, so the integer map is exact
         self._lift = lift_matrix(model).reshape(model.classes * model.stations, -1).T.astype(int)
-        # X @ _lift_x is [X @ Lx | X.sum(1)]: the aggregate comes with the product
-        self._lift_x = np.column_stack([self._lift[:model.classes], np.ones(model.classes, int)])
         s = np.arange(-self.caps.sum(), self.caps.sum() + 1)
         Y, Z = self._split(np.maximum(s, 0), np.maximum(-s, 0))
         table = np.concatenate([-Y, self.caps - Z], axis=1) @ self._lift
@@ -170,24 +167,15 @@ class _TargetRule:
         self.table = (self._lift[:model.classes], self._table)
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
-        """In-service counts ``Psi[R, I, J]`` for the headcounts ``X[R, I]``."""
+        """In-service counts ``Psi[R, I, J]`` for the headcounts ``X[R, I]``
+        by the exact path (see the class docstring)."""
         X = np.asarray(X)
-        P = X @ self._lift_x
-        Psi = P[:, :-1] + np.take(self._table, P[:, -1], axis=0, mode="clip")
-        if np.minimum.reduce(Psi, axis=None, initial=0) < 0:
-            bad = np.flatnonzero(np.minimum.reduce(Psi, axis=1) < 0)
-            Psi[bad] = self._exact(X[bad])
-        return Psi.reshape(len(X), self.model.classes, self.model.stations)
-
-    def _exact(self, X: np.ndarray) -> np.ndarray:
-        """Flattened assignments of the rule's capped targets, lifted, with
-        the greedy fill for each row whose lift is still negative."""
         s = np.add.reduce(X, axis=1) - self.caps.sum()
         Y, Z = self._targets(X, np.maximum(s, 0), np.maximum(-s, 0))
         Psi = np.concatenate([X - Y, self.caps - Z], axis=1) @ self._lift
         for r in np.flatnonzero(np.minimum.reduce(Psi, axis=1) < 0):
             Psi[r] = self._greedy_fill(X[r]).ravel()
-        return Psi
+        return Psi.reshape(len(X), self.model.classes, self.model.stations)
 
     def _targets(self, X, pos, neg):
         """Queue and idle targets of the headcounts ``X``; by default the

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import sde
 from .flows import _columns, _drift_maps, drift_batch
-from .model import ControlPoint, RunningCostSpec, TreeModel, model_hash, write_csv
+from .model import ControlPoint, RunningCostSpec, TreeModel, check_simplex, model_hash, write_csv
 from .sde import StaticPriority, default_priority_edge
 
 # the most points a grid may have: a solve takes 1.2-1.6 kB a point (n_model
@@ -168,9 +168,14 @@ class ValueField:
 
 @dataclass(frozen=True)
 class PolicyField:
+    """A control pair per grid point; built only if every row is on the simplex."""
+
     grid: Grid
     u: np.ndarray  # (size, I)
     v: np.ndarray  # (size, J)
+
+    def __post_init__(self):
+        check_simplex(self.u, self.v)
 
 
 # -- Hamiltonian minimization ------------------------------------------------
@@ -482,6 +487,67 @@ def _linear_solve(A, rhs, x0, dim):
     return x, "bicgstab->" + name
 
 
+def _scheme(model, cost, grid, boundary):
+    """The upwind scheme of ``solve_hjb``, built once after its checks of the
+    grid dimension and the boundary data: ``(LV, system, sweep, close)``.
+    ``LV`` is the candidate costs ``(K, n)`` at the ``n`` interior points,
+    ``system(pol)`` the sparse ``(A, rhs)`` of the field taking candidate row
+    ``pol[k]`` at interior point ``k``, ``sweep(f)`` every candidate's
+    one-sweep value ``(K, n)``, and ``close(f)`` reapplies the boundary rows
+    ``B f = g`` to ``f`` in place and returns it (``close(0)`` is ``g``)."""
+    if grid.dim != model.classes:
+        raise ValueError("grid dimension must equal the class count")
+    extrapolate = isinstance(boundary, str) and boundary == "extrapolate"
+    if not extrapolate and (isinstance(boundary, str) or np.shape(boundary) != grid.boundary.shape
+                            or not np.isfinite(boundary).all()):
+        raise ValueError(f'boundary must be "extrapolate" or an array of one finite value per '
+                         f"point of grid.boundary ({len(grid.boundary)}), got {boundary!r}")
+    if extrapolate and grid.counts.min() < 4:
+        # on 3 points the two extrapolation rows of a line coincide
+        raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
+
+    import scipy.sparse as sp  # see spsolve
+
+    N = grid.size
+    interior = grid.interior
+    WP, WM, LV, DEN = _candidate_tables(model, cost, grid)
+    nb_p = interior[:, None] + grid.strides
+    nb_m = interior[:, None] - grid.strides
+
+    # boundary rows B f = g: extrapolation rows with zero data, or Dirichlet
+    # identity rows with the given data
+    g = np.zeros(N)
+    if extrapolate:
+        b_rows, b_cols, b_data = _extrapolation_rows(grid)
+    else:
+        g[grid.boundary] = boundary
+        b_rows = b_cols = grid.boundary
+        b_data = np.ones(len(grid.boundary))
+    B = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(N, N))
+    sel = np.arange(len(interior))
+
+    # interior rows: the diagonal, then every +e_d and every -e_d neighbour
+    rows = np.concatenate([np.tile(interior, 1 + 2 * grid.dim), b_rows])
+    cols = np.concatenate([interior, nb_p.T.ravel(), nb_m.T.ravel(), b_cols])
+
+    def system(pol):
+        data = np.concatenate(
+            [DEN[pol, sel], -WP[pol, sel].T.ravel(), -WM[pol, sel].T.ravel(), b_data]
+        )
+        rhs = g.copy()
+        rhs[interior] = LV[pol, sel]
+        return sp.csr_matrix((data, (rows, cols)), shape=(N, N)), rhs
+
+    def sweep(f):
+        return ((WP * f[nb_p]).sum(axis=-1) + (WM * f[nb_m]).sum(axis=-1) + LV) / DEN
+
+    def close(f):
+        f -= B @ f - g
+        return f
+
+    return LV, system, sweep, close
+
+
 def solve_hjb(
     model: TreeModel,
     cost: RunningCostSpec,
@@ -521,62 +587,24 @@ def solve_hjb(
     right-hand side) from the current value and falls back to LU when that
     does not converge; each step's ``solver`` says which ran.
     """
-    if grid.dim != model.classes:
-        raise ValueError("grid dimension must equal the class count")
-    extrapolate = isinstance(boundary, str) and boundary == "extrapolate"
-    if not extrapolate and (isinstance(boundary, str) or np.shape(boundary) != grid.boundary.shape
-                            or not np.isfinite(boundary).all()):
-        raise ValueError(f'boundary must be "extrapolate" or an array of one finite value per '
-                         f"point of grid.boundary ({len(grid.boundary)}), got {boundary!r}")
     if not (0.0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if extrapolate and grid.counts.min() < 4:
-        # on 3 points the two extrapolation rows of a line coincide
-        raise ValueError("the extrapolation boundary needs at least 4 points per dimension")
-
-    import scipy.sparse as sp  # see spsolve
-
-    N = grid.size
-    interior = grid.interior
-    WP, WM, LV, DEN = _candidate_tables(model, cost, grid)
-    nb_p = interior[:, None] + grid.strides
-    nb_m = interior[:, None] - grid.strides
-
-    # boundary rows B f = g: extrapolation rows with zero data, or Dirichlet
-    # identity rows with the given data
-    g = np.zeros(N)
-    if extrapolate:
-        b_rows, b_cols, b_data = _extrapolation_rows(grid)
-    else:
-        g[grid.boundary] = boundary
-        b_rows = b_cols = grid.boundary
-        b_data = np.ones(len(grid.boundary))
-    B = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(N, N))
-    f = g.copy()
-    sel = np.arange(len(interior))
-
-    # interior rows: the diagonal, then every +e_d and every -e_d neighbour
-    rows = np.concatenate([np.tile(interior, 1 + 2 * grid.dim), b_rows])
-    cols = np.concatenate([interior, nb_p.T.ravel(), nb_m.T.ravel(), b_cols])
+    LV, system, sweep, close = _scheme(model, cost, grid, boundary)
+    sel = np.arange(len(grid.interior))
+    f = close(np.zeros(grid.size))  # the boundary data g: the first solve starts there
     pol = LV.argmin(axis=0)
     converged = False
     history = []
     for _ in range(MAX_ITER):
-        data = np.concatenate(
-            [DEN[pol, sel], -WP[pol, sel].T.ravel(), -WM[pol, sel].T.ravel(), b_data]
-        )
-        rhs = g.copy()
-        rhs[interior] = LV[pol, sel]
-        A = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
+        A, rhs = system(pol)
         t0 = time.perf_counter()
         f, solver = _linear_solve(A, rhs, f, grid.dim)
         solve_s = time.perf_counter() - t0
         # every candidate's one-sweep value; their minimum is a Bellman sweep
-        stacked = ((WP * f[nb_p]).sum(axis=-1) + (WM * f[nb_m]).sum(axis=-1) + LV) / DEN
+        stacked = sweep(f)
         fn = f.copy()
-        fn[interior] = stacked.min(axis=0)
-        fn -= B @ fn - g
-        delta = float(np.abs(fn - f).max())
+        fn[grid.interior] = stacked.min(axis=0)
+        delta = float(np.abs(close(fn) - f).max())
         best = stacked.argmin(axis=0)
         scale = max(1.0, float(np.abs(f).max()))
         new_pol = np.where(stacked[best, sel] < stacked[pol, sel] - TIE_RTOL * scale, best, pol)
@@ -590,7 +618,7 @@ def solve_hjb(
     field = ValueField(grid=grid, values=f)
     resid = pde_residual(field, model, cost) if min(grid.counts) >= 5 else float("nan")
     report = HJBReport(
-        boundary="extrapolate" if extrapolate else "dirichlet",
+        boundary="extrapolate" if isinstance(boundary, str) else "dirichlet",
         iterations=len(history),
         converged=converged,
         sup_update=history[-1].sup_update,

@@ -47,7 +47,7 @@ import numpy as np
 
 # drift_batch stays importable here: it is the batch form of what _columns tabulates
 from .flows import _columns, _drift_maps, drift_batch  # noqa: F401
-from .model import ControlPoint, RunningCostSpec, TreeModel, check_simplex, write_csv
+from .model import ControlPoint, RunningCostSpec, TreeModel, write_csv
 
 # state rows per simulation chunk; fixed so runs reproduce across workers
 CHUNK = 65536
@@ -140,15 +140,13 @@ class SwitchingControl:
 class GridMarkov:
     """Markov policy read off a grid-sampled policy field.
 
-    Accepts any object with a ``Grid`` ``grid`` and ``u``, ``v`` attributes
-    (a ``PolicyField`` of the grid solver module) whose rows lie on the
-    control simplex (``check_simplex``).  The table is the field's rows and
-    ``index`` the flat index of the nearest grid point, with states outside
-    the box clipped onto it.
+    Takes a ``PolicyField`` of the grid solver module, whose rows were
+    checked to lie on the control simplex when it was built.  The table is
+    the field's rows and ``index`` the flat index of the nearest grid point,
+    with states outside the box clipped onto it.
     """
 
     def __init__(self, field):
-        check_simplex(field.u, field.v)
         g = field.grid
         # unused here; perfbench/layers.py reads them
         self._lows, self._spacing, self._counts = g.lows, g.spacing, g.counts
@@ -202,12 +200,15 @@ class SimPath:
 
 def _n_steps(horizon, dt):
     """The number of ``dt`` Euler steps in ``horizon``: both must be positive
-    and finite, and span at least one step."""
+    and finite, and span at least one step and fewer than ``2**63``."""
     if not (0.0 < dt < np.inf):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (0.0 < horizon < np.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    n = int(round(horizon / dt))
+    ratio = float(horizon) / float(dt)  # Python floats: inf without a numpy warning
+    if not ratio < 2.0**63:
+        raise ValueError(f"horizon must be under 2**63 steps, got {horizon!r} at dt {dt!r}")
+    n = int(round(ratio))
     if n == 0:
         raise ValueError(f"horizon must be at least dt / 2, one step, got {horizon!r} at dt {dt!r}")
     return n
@@ -722,6 +723,8 @@ def moment_curve(
     if times.ndim != 1 or not times.size or not (np.isfinite(times) & (times >= 0.0)).all():
         raise ValueError("times must be a nonempty list of finite nonnegative values, "
                          f"got {times.tolist()}")
+    if not float(times.max()) / float(dt) < 2.0**63:
+        raise ValueError(f"times must be under 2**63 steps, got {times.max():g} at dt {dt!r}")
     idx = [int(round(t / dt)) for t in times]
 
     def reduce(costs, snaps, size):

@@ -67,9 +67,15 @@ def test_hjb_row(bench):
     assert row["parent"]["peak_rss_mb"] == 90.0
     assert row["change"]["solvers"] == ["spsolve", "spsolve"]
     assert row["value_rel_gap"] == pytest.approx(0.5 / 4.0)
+    assert row["same_value_bytes"] is False
     for r in runs["change"]:
         r["values"] = [1.0, 2.0, -4.0]
-    assert bench.make_row(case, {"model": "n_model", "points": 121}, runs)["value_rel_gap"] == 0.0
+    row = bench.make_row(case, {"model": "n_model", "points": 121}, runs)
+    assert row["value_rel_gap"] == 0.0 and row["same_value_bytes"] is True
+    # every run counts, where the gap reads the first run of each side only
+    runs["change"][1]["values"] = [1.0, 2.0, -4.0 * (1 + 2**-52)]
+    row = bench.make_row(case, {"model": "n_model", "points": 121}, runs)
+    assert row["value_rel_gap"] == 0.0 and row["same_value_bytes"] is False
 
 
 def test_prelimit_row(bench):

@@ -465,8 +465,12 @@ def test_policy_file_off_the_simplex_exits_two(n_model_file, tmp_path, capsys, c
     model, _ = hw.load_model(n_model_file)
     grid = hw.default_grid(model, 5)
     path = tmp_path / "bad.field"
-    hw.save_field(hjb.PolicyField(grid, np.tile(u_row, (grid.size, 1)),
-                                  np.full((grid.size, 2), 0.5)), model, path)
+    # save_field refuses such a field, so the file is written by hand
+    header = {"kind": "policy", "grid": grid.to_dict(), "model_hash": hw.model_hash(model),
+              "columns": ["u0", "u1", "v0", "v1"], "layout": "row-major"}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        np.savetxt(fh, np.tile([*u_row, 0.5, 0.5], (grid.size, 1)), delimiter=",", fmt="%.17g")
     assert run(command, "--model", n_model_file, "--policy", path, "--paths", "50",
                "--horizon", "1", "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err

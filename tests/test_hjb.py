@@ -1,6 +1,5 @@
 import warnings
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -254,25 +253,14 @@ def bellman_sweep(model, cost, grid, boundary):
     least, and then reapplies the boundary rows ``B f = g``: extrapolation
     rows with zero data, or Dirichlet identity rows with the static-mc data
     of ``smooth_boundary_values``."""
-    WP, WM, LV, DEN = hjb._candidate_tables(model, cost, grid)
-    inner = grid.interior
-    up, down = inner[:, None] + grid.strides, inner[:, None] - grid.strides
-    g = np.zeros(grid.size)
-    if boundary == "extrapolate":
-        rows, cols, data = hjb._extrapolation_rows(grid)
-    else:
-        g[grid.boundary] = smooth_boundary_values(grid)
-        rows = cols = grid.boundary
-        data = np.ones(len(rows))
-    B = sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
+    _, _, candidates, close = hjb._scheme(model, cost, grid, boundary_data(grid, boundary))
 
     def sweep(f):
         fn = f.copy()
-        fn[inner] = (((WP * f[up]).sum(-1) + (WM * f[down]).sum(-1) + LV) / DEN).min(axis=0)
-        fn -= B @ fn - g
-        return fn
+        fn[grid.interior] = candidates(f).min(axis=0)
+        return close(fn)
 
-    return sweep, g
+    return sweep, close(np.zeros(grid.size))
 
 
 def value_iteration(model, cost, grid, boundary):
@@ -354,25 +342,14 @@ def test_three_d_solver_falls_back_to_lu(monkeypatch):
     assert gap <= 1e-9 * np.abs(lu.value.values).max()
 
 
-class _Captured(Exception):
-    pass
-
-
 def evaluation_system(model, cost, points, radius, boundary="extrapolate"):
     """``(A, rhs)`` of the first policy evaluation of a solve on the default
-    grid.  The static-mc boundary data is a smooth stand-in for the simulated
-    values, which only the right-hand side reads."""
-
-    def capture(A, rhs, x0, dim):
-        raise _Captured(A, rhs)
-
+    grid, the control field of least running cost.  The static-mc boundary
+    data is a smooth stand-in for the simulated values, which only the
+    right-hand side reads."""
     grid = hw.default_grid(model, points, radius)
-    with patch.object(hjb, "_linear_solve", capture):
-        try:
-            hw.solve_hjb(model, cost, grid, boundary=boundary_data(grid, boundary))
-        except _Captured as caught:
-            return caught.args
-    raise AssertionError("the solve ran no policy evaluation")
+    LV, system, _, _ = hjb._scheme(model, cost, grid, boundary_data(grid, boundary))
+    return system(LV.argmin(axis=0))
 
 
 def backward_error(A, x, rhs):
@@ -664,6 +641,15 @@ def test_field_file_roundtrip(tmp_path):
     gm = hw.GridMarkov(ploaded)
     U, V = gm.controls(np.array([[0.0]]), 0.0)
     assert U.shape == (1, 1) and V.shape == (1, 1)
+
+
+@pytest.mark.parametrize("u_row", [(2.0, -1.0), (np.nan, 1.0)])
+def test_policy_field_rows_must_lie_on_the_simplex(u_row):
+    """A field is checked when it is built, so ``save_field`` never writes a
+    row off the control simplex and ``load_field`` never returns one."""
+    grid = hw.default_grid(n_model(), 5)
+    with pytest.raises(ValueError, match="sum to one"):
+        hw.PolicyField(grid, np.tile(u_row, (grid.size, 1)), np.full((grid.size, 2), 0.5))
 
 
 def test_field_interpolation_reproduces_linear_fields():

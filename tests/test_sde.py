@@ -239,10 +239,16 @@ def test_mc_cost_rejects_bad_inputs():
     ("simulate_path", dict(horizon=np.inf), "horizon"),
     ("simulate_path", dict(horizon=np.nan), "horizon"),
     ("simulate_path", dict(horizon=4e-4, dt=1e-3), "horizon"),
+    # a ratio past any step count: 1e300 / 1e-300 is infinite
+    ("mc_cost", dict(horizon=1e300, dt=1e-300), "horizon"),
+    ("simulate_path", dict(horizon=1e300, dt=1e-300), "horizon"),
+    ("counterexample_flow", dict(horizon=1e300, dt=1e-300), "horizon"),
+    ("moment_curve", dict(times=[1.0], dt=1e-300), "times"),
 ])
 def test_monte_carlo_estimators_reject_bad_steps_and_times(monkeypatch, call, kwargs, name):
-    """A step, horizon or time list that spans no run raises ``ValueError``
-    naming it, before any path is simulated."""
+    """A step, horizon or time list that spans no run, or more steps than a
+    step count holds, raises ``ValueError`` naming it, before any path is
+    simulated."""
     model, cost = single_class_fixture()
     policy = hw.StaticPriority.for_model(model, 0, 0)
 
@@ -258,6 +264,8 @@ def test_monte_carlo_estimators_reject_bad_steps_and_times(monkeypatch, call, kw
             hw.mc_cost_batch(model, cost, np.zeros((2, 1)), policy, 10, **kwargs)
         elif call == "simulate_path":
             hw.simulate_path(model, [0.0], policy, **{"horizon": 1.0, **kwargs})
+        elif call == "counterexample_flow":
+            hw.counterexample_flow(1.0, **kwargs)
         else:
             hw.moment_curve(model, policy, [0.0], 2.0, **{"times": [0.5], **kwargs}, n_paths=10)
 

@@ -37,8 +37,9 @@ next.  The cases:
   import of ``scipy.sparse.linalg`` (which ``hjb`` imports on its first
   solve), and the seconds of its linear solves alone (``solve_s``, the sum of the history's
   ``solve_s``), with policy iterations, the linear solver of every
-  iteration, convergence, peak resident memory and the sup-norm gap between
-  the two sides' values relative to the parent's.
+  iteration, convergence, peak resident memory, the sup-norm gap between
+  the two sides' values relative to the parent's, and whether every run's
+  values on both sides are the same bytes (by sha256).
 - ``prelimit``: events per second of ``run_replications`` on
   ``models/n_model.json`` at n = 400, horizon 1, under ``GreedyPriority(0,
   1)`` and ``ImbalanceTracking`` at the uniform point, for R = 1, 5 and 1000
@@ -265,6 +266,8 @@ def hjb_fields(key, runs, row):
     parent_values, change_values = (np.array(runs[side][0]["values"]) for side in SIDES)
     row["value_rel_gap"] = float(np.abs(change_values - parent_values).max()
                                  / np.abs(parent_values).max())
+    row["same_value_bytes"] = len({hashlib.sha256(np.array(r["values"]).tobytes()).hexdigest()
+                                   for rs in runs.values() for r in rs}) == 1
 
 
 # -- prelimit -----------------------------------------------------------------
